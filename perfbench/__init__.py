@@ -1,0 +1,6 @@
+"""The repository benchmark: seeded workloads, end-to-end and per-layer metrics.
+
+Run ``python3 perfbench/run.py --workload <corpus|train|serve> --seed N
+--seconds S --trace <0|1>`` from the repository root; see
+``perfbench/README.md`` for what each workload measures.
+"""
