@@ -8,9 +8,10 @@ softmax — and the pipeline happily emits a confident wrong label.
 first stage* the corruption appears, naming it.
 
 While armed, every :class:`repro.nn.module.Module` subclass's
-``forward``/``backward`` and the key DSP entry points (phase
-calibration, MUSIC, periodogram, spectrum-frame assembly) are wrapped
-to detect:
+``forward``/``backward`` and the DSP entry points (phase calibration,
+and both the batch-of-one adapters and the stacked kernels of MUSIC,
+the periodogram and spectrum-frame assembly — the pooled kernels are
+what fleet serving runs) are wrapped to detect:
 
 * non-finite values in inputs, outputs, and parameter gradients;
 * dtype drift away from :data:`repro.nn.module.DEFAULT_DTYPE`
@@ -262,9 +263,19 @@ def _check_music_result(out: object, stage: str, cfg: _Config) -> None:
     _check_array(getattr(out, "eigenvalues", None), stage, "eigenvalues", cfg)
 
 
+def _check_ndarray_tuple_result(out: object, stage: str, cfg: _Config) -> None:
+    for i, arr in enumerate(out if isinstance(out, tuple) else ()):
+        _check_array(arr, stage, f"output[{i}]", cfg)
+
+
 def _check_frames_result(out: object, stage: str, cfg: _Config) -> None:
     for name, channel in getattr(out, "channels", {}).items():
         _check_array(channel, stage, f"channel {name!r}", cfg)
+
+
+def _check_frames_list_result(out: object, stage: str, cfg: _Config) -> None:
+    for i, sample in enumerate(out if isinstance(out, list) else ()):
+        _check_frames_result(sample, f"{stage}[{i}]", cfg)
 
 
 def _patch_everywhere(
@@ -306,6 +317,11 @@ def _arm_dsp(cfg: _Config, undo: list[Callable[[], None]]) -> None:
     targets: list[tuple[Callable, str, Callable]] = [
         (music.music_pseudospectrum, "repro.dsp.music.music_pseudospectrum", _check_music_result),
         (
+            music.music_spectra_batch,
+            "repro.dsp.music.music_spectra_batch",
+            _check_ndarray_tuple_result,
+        ),
+        (
             music.masked_pseudospectrum,
             "repro.dsp.music.masked_pseudospectrum",
             _check_music_result,
@@ -321,9 +337,19 @@ def _arm_dsp(cfg: _Config, undo: list[Callable[[], None]]) -> None:
             _check_ndarray_result,
         ),
         (
+            periodogram.spatial_periodogram_batch,
+            "repro.dsp.periodogram.spatial_periodogram_batch",
+            _check_ndarray_result,
+        ),
+        (
             frames.build_spectrum_frames,
             "repro.dsp.frames.build_spectrum_frames",
             _check_frames_result,
+        ),
+        (
+            frames.build_spectrum_frames_many,
+            "repro.dsp.frames.build_spectrum_frames_many",
+            _check_frames_list_result,
         ),
         (calibration.uncalibrated, "repro.dsp.calibration.uncalibrated", _check_ndarray_result),
     ]

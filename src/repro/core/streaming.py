@@ -102,16 +102,63 @@ def abstain_decision(
     )
 
 
+def _window_grid(
+    log: ReadLog, window_s: float, hop_s: float | None
+) -> tuple[ReadLog, np.ndarray | None, list[float], np.ndarray, np.ndarray]:
+    """The windowing grid shared by :func:`split_windows` and
+    :meth:`StreamingIdentifier.identify`.
+
+    Windows start on the dwell grid below the first read and step by
+    ``hop_s``; a window is complete once its final dwell has started.
+    The log is sorted by timestamp once and every window becomes a
+    ``searchsorted`` slice of that order.
+
+    Returns:
+        ``(sorted_log, order, starts, lo, hi)``: ``order`` is the
+        sorting permutation (None when the log was already sorted) and
+        window ``i`` is ``sorted_log[lo[i]:hi[i]]`` starting at
+        ``starts[i]``; ``starts`` is empty when the log cannot hold one
+        complete window.
+
+    Raises:
+        ValueError: on a non-positive ``window_s`` or ``hop_s``.
+    """
+    if window_s is None or window_s <= 0:
+        raise ValueError("window_s must be positive")
+    if hop_s is not None and hop_s <= 0:
+        raise ValueError("hop_s must be positive")
+    hop = window_s if hop_s is None else hop_s
+    if log.n_reads == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return log, None, [], empty, empty
+    order = None
+    sorted_log = log
+    if not np.all(log.timestamp_s[1:] >= log.timestamp_s[:-1]):
+        order = np.argsort(log.timestamp_s, kind="stable")
+        sorted_log = log.take(order)
+    ts = sorted_log.timestamp_s
+    dwell = log.meta.dwell_s
+    t0 = np.floor(float(ts[0]) / dwell) * dwell
+    t_end = float(ts[-1]) + dwell
+    starts: list[float] = []
+    start = t0
+    while start + window_s <= t_end + 1e-9:
+        starts.append(float(start))
+        start += hop
+    starts_arr = np.asarray(starts, dtype=np.float64)
+    lo = np.searchsorted(ts, starts_arr, side="left")
+    hi = np.searchsorted(ts, starts_arr + window_s, side="left")
+    return sorted_log, order, starts, lo, hi
+
+
 def split_windows(
     log: ReadLog, window_s: float, hop_s: float | None = None
 ) -> list[tuple[float, ReadLog]]:
     """Cut a continuous log into complete observation windows.
 
     Uses the same windowing grid as
-    :meth:`StreamingIdentifier.identify` (start snapped to the dwell
-    grid, a window complete once its final dwell has started), so a
-    supervisor slicing windows up front sees exactly the windows the
-    batched path would.
+    :meth:`StreamingIdentifier.identify`, so a supervisor slicing
+    windows up front sees exactly the windows the batched path would.
 
     Args:
         log: the continuous session log.
@@ -125,31 +172,7 @@ def split_windows(
     Raises:
         ValueError: on a non-positive ``window_s`` or ``hop_s``.
     """
-    if window_s is None or window_s <= 0:
-        raise ValueError("window_s must be positive")
-    if hop_s is not None and hop_s <= 0:
-        raise ValueError("hop_s must be positive")
-    hop = window_s if hop_s is None else hop_s
-    if log.n_reads == 0:
-        return []
-    dwell = log.meta.dwell_s
-    if np.all(log.timestamp_s[1:] >= log.timestamp_s[:-1]):
-        sorted_log = log
-    else:
-        sorted_log = log.take(np.argsort(log.timestamp_s, kind="stable"))
-    ts = sorted_log.timestamp_s
-    t0 = np.floor(float(ts[0]) / dwell) * dwell
-    t_end = float(ts[-1]) + dwell
-    starts: list[float] = []
-    start = t0
-    while start + window_s <= t_end + 1e-9:
-        starts.append(float(start))
-        start += hop
-    if not starts:
-        return []
-    starts_arr = np.asarray(starts, dtype=np.float64)
-    lo = np.searchsorted(ts, starts_arr, side="left")
-    hi = np.searchsorted(ts, starts_arr + window_s, side="left")
+    sorted_log, _order, starts, lo, hi = _window_grid(log, window_s, hop_s)
     return [
         (w_start, sorted_log.take(slice(int(w_lo), int(w_hi))))
         for w_start, w_lo, w_hi in zip(starts, lo, hi)
@@ -214,11 +237,11 @@ class StreamingIdentifier:
         otherwise.  Only a log too short to contain a single complete
         window produces an empty list.
 
-        The log is sorted by timestamp once and every window becomes a
-        ``searchsorted`` slice of that order (instead of one boolean
-        scan of all reads per window); all classifiable windows are
-        featurised and scored through a *single* batched
-        ``predict_proba`` call.
+        The whole log is calibrated once (calibration is pointwise, so
+        slicing the phases afterwards is exact), cut on the
+        :func:`split_windows` grid, and served through the split path:
+        one pooled :meth:`prepare_windows`, one batched
+        :meth:`predict_prepared`, then :meth:`score_window` per window.
 
         Returns:
             Decisions in time order (possibly empty for a short log).
@@ -231,88 +254,35 @@ class StreamingIdentifier:
         """
         if self.pipeline.model is None:
             raise RuntimeError("pipeline not fitted")
-        if self.window_s is None or self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if self.hop_s is not None and self.hop_s <= 0:
-            raise ValueError("hop_s must be positive")
-        hop = self.window_s if self.hop_s is None else self.hop_s
+        sorted_log, order, starts, lo, hi = _window_grid(
+            log, self.window_s, self.hop_s
+        )
         if log.n_reads == 0:
             return []
-        dwell = log.meta.dwell_s
-        n_frames = max(1, int(round(self.window_s / dwell)))
-
         with span("streaming.identify", reads=log.n_reads) as identify_span:
-            psi_full = (
-                self.calibrator.calibrate(log)
-                if self.calibrator is not None
-                else uncalibrated(log)
-            )
-            if np.all(log.timestamp_s[1:] >= log.timestamp_s[:-1]):
-                sorted_log, psi_sorted = log, psi_full
-            else:
-                order = np.argsort(log.timestamp_s, kind="stable")
-                sorted_log = log.take(order)
-                psi_sorted = psi_full[order]
-            ts = sorted_log.timestamp_s
-            t0 = np.floor(float(ts[0]) / dwell) * dwell
-            # A window is complete once its final dwell has started.
-            t_end = float(ts[-1]) + dwell
-            starts: list[float] = []
-            start = t0
-            while start + self.window_s <= t_end + 1e-9:
-                starts.append(float(start))
-                start += hop
-            if not starts:
-                identify_span.set(windows=0)
-                return []
-            starts_arr = np.asarray(starts, dtype=np.float64)
-            lo = np.searchsorted(ts, starts_arr, side="left")
-            hi = np.searchsorted(ts, starts_arr + self.window_s, side="left")
-
-            decisions: list[WindowDecision | None] = [None] * len(starts)
-            pending: list[tuple[int, float, int]] = []
-            samples = []
-            for i, (w_start, w_lo, w_hi) in enumerate(zip(starts, lo, hi)):
-                n_reads = int(w_hi - w_lo)
+            psi = self._calibrate(log)
+            if order is not None:
+                psi = psi[order]
+            windows = [
+                (sorted_log.take(slice(int(w_lo), int(w_hi))), w_start, psi[w_lo:w_hi])
+                for w_start, w_lo, w_hi in zip(starts, lo, hi)
+            ]
+            prepared = self.prepare_windows(windows)
+            samples = [sample for decision, sample in prepared if decision is None]
+            probas = iter(self.predict_prepared(samples) if samples else ())
+            decisions = []
+            for (window_log, w_start, _psi), (decision, _sample) in zip(
+                windows, prepared
+            ):
                 with span("streaming.window", t_start_s=w_start):
-                    if n_reads < self.min_reads:
-                        decisions[i] = self._abstain(
-                            w_start, w_start + self.window_s, n_reads,
-                            REASON_TOO_FEW_READS,
+                    if decision is None:
+                        decision = self.score_window(
+                            w_start, window_log.n_reads, next(probas)
                         )
-                    else:
-                        window_log = sorted_log.take(slice(int(w_lo), int(w_hi)))
-                        live_ports = int(window_log.antenna_liveness().sum())
-                        if live_ports < self.min_live_ports:
-                            decisions[i] = self._abstain(
-                                w_start, w_start + self.window_s, n_reads,
-                                REASON_DEAD_PORTS,
-                            )
-                        else:
-                            samples.append(
-                                self.featurizer.transform(
-                                    window_log,
-                                    psi_sorted[w_lo:w_hi],
-                                    n_frames=n_frames,
-                                )
-                            )
-                            pending.append((i, w_start, n_reads))
-                counter("streaming.windows_total").inc()
-
-            if pending:
-                dataset = ActivityDataset(
-                    samples=samples, labels=["?"] * len(samples)
-                )
-                self._check_serve_dtype()
-                with span("streaming.predict", windows=len(pending)):
-                    with stage_boundary("predict"):
-                        probas = self.pipeline.predict_proba(dataset)
-                for (i, w_start, n_reads), proba in zip(pending, probas):
-                    decisions[i] = self._score(
-                        w_start, n_reads, np.asarray(proba)
-                    )
+                    counter("streaming.windows_total").inc()
+                decisions.append(decision)
             identify_span.set(windows=len(decisions))
-        return [d for d in decisions if d is not None]
+        return decisions
 
     def identify_window(
         self,
@@ -360,16 +330,7 @@ class StreamingIdentifier:
     ) -> tuple[WindowDecision | None, object | None]:
         """Featurise one window without running inference.
 
-        The first phase of the split serving path: admission checks
-        (read count, live ports) and featurisation happen here, so a
-        fleet shard can collect featurised samples from many streams
-        and push them through :meth:`predict_prepared` as one batch.
-
-        Args:
-            window_log: the reads falling inside the window.
-            t_start_s: the window's nominal start in stream time.
-            psi: pre-computed doubled phases aligned with
-                ``window_log``; computed via the calibrator when None.
+        A batch of one for :meth:`prepare_windows`.
 
         Returns:
             ``(decision, None)`` when the window resolves without
@@ -379,89 +340,66 @@ class StreamingIdentifier:
         Raises:
             RuntimeError: when the pipeline is not fitted.
         """
-        if self.pipeline.model is None:
-            raise RuntimeError("pipeline not fitted")
-        t_end = t_start_s + self.window_s
-        n_reads = window_log.n_reads
-        if n_reads < self.min_reads:
-            return (
-                self._abstain(t_start_s, t_end, n_reads, REASON_TOO_FEW_READS),
-                None,
-            )
-        if int(window_log.antenna_liveness().sum()) < self.min_live_ports:
-            return (
-                self._abstain(t_start_s, t_end, n_reads, REASON_DEAD_PORTS),
-                None,
-            )
-        if psi is None:
-            psi = (
-                self.calibrator.calibrate(window_log)
-                if self.calibrator is not None
-                else uncalibrated(window_log)
-            )
-        dwell = window_log.meta.dwell_s
-        n_frames = max(1, int(round(self.window_s / dwell)))
-        sample = self.featurizer.transform(window_log, psi, n_frames=n_frames)
-        return None, sample
+        return self._prepare([(window_log, t_start_s, psi)])[0]
 
     def prepare_windows(
         self,
-        windows: list[tuple["ReadLog", float, np.ndarray | None]],
-    ) -> list[tuple["WindowDecision | None", object | None]]:
+        windows: list[tuple[ReadLog, float, np.ndarray | None]],
+    ) -> list[tuple[WindowDecision | None, object | None]]:
         """Featurise many windows through one pooled DSP batch.
 
-        The batched counterpart of :meth:`prepare_window`: admission
-        checks run per window, then every admissible window is
-        featurised through the featuriser's ``transform_many`` (one
-        stacked MUSIC/periodogram batch for the lot) when it has one,
-        falling back to per-window ``transform`` otherwise.  Results
-        are identical to calling :meth:`prepare_window` per window.
+        The first phase of the split serving path: admission checks
+        (read count, live ports) run per window, then every admissible
+        window is featurised through the featuriser's ``transform_many``
+        (one stacked MUSIC/periodogram batch for the lot) when it has
+        one, falling back to per-window ``transform`` otherwise.  A
+        fleet shard collects the samples of many streams here and
+        pushes them through :meth:`predict_prepared` as one batch.
 
         Args:
             windows: ``(window_log, t_start_s, psi)`` per window;
                 ``psi`` None computes calibrated phases per window.
 
         Returns:
-            One ``(decision, sample)`` pair per window, in order, with
-            the same semantics as :meth:`prepare_window`.
+            One pair per window, in order: ``(decision, None)`` when
+            the window resolves without inference (an early abstain),
+            ``(None, sample)`` with the featurised sample otherwise.
 
         Raises:
             RuntimeError: when the pipeline is not fitted.
         """
+        return self._prepare(windows)
+
+    def _prepare(
+        self,
+        windows: list[tuple[ReadLog, float, np.ndarray | None]],
+    ) -> list[tuple[WindowDecision | None, object | None]]:
+        """Admission, calibration and featurisation behind both public
+        prepare entry points (which profilers may wrap separately, so
+        neither calls the other)."""
         if self.pipeline.model is None:
             raise RuntimeError("pipeline not fitted")
         out: list[tuple[WindowDecision | None, object | None]] = [
             (None, None)
         ] * len(windows)
         pending: list[int] = []
-        items: list[tuple[ReadLog, np.ndarray, int | None]] = []
+        items: list[tuple[ReadLog, np.ndarray, int]] = []
         for i, (window_log, t_start_s, psi) in enumerate(windows):
-            t_end = t_start_s + self.window_s
             n_reads = window_log.n_reads
             if n_reads < self.min_reads:
-                out[i] = (
-                    self._abstain(
-                        t_start_s, t_end, n_reads, REASON_TOO_FEW_READS
-                    ),
-                    None,
-                )
+                reason = REASON_TOO_FEW_READS
+            elif int(window_log.antenna_liveness().sum()) < self.min_live_ports:
+                reason = REASON_DEAD_PORTS
+            else:
+                n_frames = max(1, int(round(self.window_s / window_log.meta.dwell_s)))
+                psi = self._calibrate(window_log) if psi is None else psi
+                pending.append(i)
+                items.append((window_log, psi, n_frames))
                 continue
-            if int(window_log.antenna_liveness().sum()) < self.min_live_ports:
-                out[i] = (
-                    self._abstain(t_start_s, t_end, n_reads, REASON_DEAD_PORTS),
-                    None,
-                )
-                continue
-            if psi is None:
-                psi = (
-                    self.calibrator.calibrate(window_log)
-                    if self.calibrator is not None
-                    else uncalibrated(window_log)
-                )
-            dwell = window_log.meta.dwell_s
-            n_frames = max(1, int(round(self.window_s / dwell)))
-            pending.append(i)
-            items.append((window_log, psi, n_frames))
+            decision = abstain_decision(
+                t_start_s, t_start_s + self.window_s, n_reads, reason
+            )
+            out[i] = (decision, None)
         if items:
             transform_many = getattr(self.featurizer, "transform_many", None)
             if transform_many is not None:
@@ -474,6 +412,12 @@ class StreamingIdentifier:
             for i, sample in zip(pending, samples):
                 out[i] = (None, sample)
         return out
+
+    def _calibrate(self, log: ReadLog) -> np.ndarray:
+        """Doubled phases of ``log`` under the session calibrator."""
+        if self.calibrator is None:
+            return uncalibrated(log)
+        return self.calibrator.calibrate(log)
 
     def predict_prepared(self, samples: list) -> np.ndarray:
         """Run inference over featurised samples from :meth:`prepare_window`.
@@ -508,27 +452,19 @@ class StreamingIdentifier:
         thresholding included); public so shard servers can score
         batch rows back to their streams.
         """
-        return self._score(t_start_s, int(n_reads), np.asarray(proba))
-
-    def _score(
-        self, start: float, n_reads: int, proba: np.ndarray
-    ) -> WindowDecision:
-        """Turn one window's class probabilities into a decision."""
-        end = start + self.window_s
+        proba = np.asarray(proba)
+        end = t_start_s + self.window_s
         best = int(proba.argmax())
         confidence = float(proba[best])
         if confidence < self.min_confidence:
-            return self._abstain(start, end, n_reads, REASON_LOW_CONFIDENCE)
+            return abstain_decision(
+                t_start_s, end, int(n_reads), REASON_LOW_CONFIDENCE
+            )
         counter("streaming.decisions_total").inc()
         return WindowDecision(
-            t_start_s=start,
+            t_start_s=t_start_s,
             t_end_s=end,
             label=str(self.pipeline.classes[best]),
             confidence=confidence,
-            n_reads=n_reads,
+            n_reads=int(n_reads),
         )
-
-    def _abstain(
-        self, start: float, end: float, n_reads: int, reason: str
-    ) -> WindowDecision:
-        return abstain_decision(start, end, n_reads, reason)

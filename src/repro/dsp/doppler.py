@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.dsp.angles import wrap_pm_pi
 from repro.dsp.music import PHASE_MULTIPLIER
-from repro.dsp.snapshots import TagSnapshots
+from repro.dsp.snapshots import TagSnapshots, build_snapshots_all
 from repro.hardware.llrp import ReadLog
 
 
@@ -108,9 +108,9 @@ class DopplerFeaturizer:
         label: str | None = None,
     ):
         """Featurise ``log`` into Doppler-rate frames."""
-        from repro.dsp.frames import FeatureFrames, tag_snapshot_set
+        from repro.dsp.frames import FeatureFrames
 
-        snapshot_sets = tag_snapshot_set(log, psi, n_frames)
+        snapshot_sets = build_snapshots_all(log, psi, n_frames)
         round_s = log.meta.slot_s * log.meta.n_antennas
         frames = snapshot_sets[0].n_frames
         n_tags = len(snapshot_sets)

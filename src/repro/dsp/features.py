@@ -18,8 +18,8 @@ from repro.dsp.frames import (
     build_spectrum_frames,
     build_spectrum_frames_many,
     power_to_db,
-    tag_snapshot_set,
 )
+from repro.dsp.snapshots import build_snapshots_all
 from repro.hardware.llrp import ReadLog
 
 
@@ -118,7 +118,7 @@ class PhaseFeaturizer:
         self, log: ReadLog, psi: np.ndarray, n_frames: int | None = None, label: str | None = None
     ) -> FeatureFrames:
         """Featurise one calibrated log into :class:`FeatureFrames`."""
-        snapshot_sets = tag_snapshot_set(log, psi, n_frames)
+        snapshot_sets = build_snapshots_all(log, psi, n_frames)
         frames = snapshot_sets[0].n_frames
         n_tags = len(snapshot_sets)
         n_ant = log.meta.n_antennas
@@ -149,7 +149,7 @@ class RssiFeaturizer:
         self, log: ReadLog, psi: np.ndarray, n_frames: int | None = None, label: str | None = None
     ) -> FeatureFrames:
         """Featurise one calibrated log into :class:`FeatureFrames`."""
-        snapshot_sets = tag_snapshot_set(log, psi, n_frames)
+        snapshot_sets = build_snapshots_all(log, psi, n_frames)
         frames = snapshot_sets[0].n_frames
         n_tags = len(snapshot_sets)
         n_ant = log.meta.n_antennas

@@ -16,18 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dsp.correlation import spatial_covariance_stack
-from repro.dsp.music import (
-    DEFAULT_ANGLES_DEG,
-    masked_pseudospectrum,
-    music_spectra_batch,
-)
+from repro.dsp.correlation import subarray_covariance_stack
+from repro.dsp.music import DEFAULT_ANGLES_DEG, music_spectra_batch
 from repro.dsp.periodogram import spatial_periodogram_batch
-from repro.dsp.snapshots import (
-    TagSnapshots,
-    build_snapshots_all,
-    build_snapshots_many,
-)
+from repro.dsp.snapshots import _frame_count, build_snapshots_many
 from repro.hardware.llrp import ReadLog
 from repro.obs.tracing import span
 from repro.runtime.breaker import stage_boundary
@@ -108,13 +100,6 @@ class FeatureFrames:
         )
 
 
-def tag_snapshot_set(
-    log: ReadLog, psi: np.ndarray, n_frames: int | None = None
-) -> list[TagSnapshots]:
-    """Snapshots for every tag over a common frame axis."""
-    return build_snapshots_all(log, psi, n_frames=n_frames)
-
-
 def build_spectrum_frames(
     log: ReadLog,
     psi: np.ndarray,
@@ -124,176 +109,23 @@ def build_spectrum_frames(
     include_period: bool = True,
     label: str | None = None,
 ) -> FeatureFrames:
-    """The M2AI preprocessing output: pseudospectrum + periodogram frames.
+    """The M2AI preprocessing output for one window.
 
-    Frames where a tag was not observed on at least two ports repeat
-    the tag's previous frame (zero for a missing first frame) — the
-    streaming-friendly imputation a real deployment would use.
-
-    Dead antenna ports (no reads anywhere in ``log``) degrade the
-    computation instead of poisoning it: the pseudospectrum shrinks to
-    the surviving subarray and the periodogram is re-normalised to the
-    live aperture.  Feature shapes are unchanged, so a model trained on
-    the healthy array still accepts the degraded frames; with every
-    port live, the output is identical to the healthy path.
-
-    Args:
-        log: session read log.
-        psi: doubled phases aligned with the log (calibrated or not).
-        n_frames: force the frame count.
-        angles_deg: pseudospectrum angle grid (paper default, 180 pts).
-        include_pseudo: emit the ``"pseudo"`` channel.
-        include_period: emit the ``"period"`` channel.
-        label: ground-truth activity class to attach.
+    A batch of one for :func:`build_spectrum_frames_many`, with the
+    ground-truth ``label`` attached.
 
     Returns:
         The assembled :class:`FeatureFrames`: channel ``"pseudo"`` has
         shape: ``(F, n_tags, 180)`` and channel ``"period"`` has
-        shape: ``(F, n_tags, N)`` for ``N`` antennas;
-        ``meta["antenna_liveness"]`` records the port mask the features
-        were computed under.
+        shape: ``(F, n_tags, N)`` for ``N`` antennas.
     """
-    grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
-    with span("dsp.frames.build", reads=log.n_reads) as build_span:
-        with stage_boundary("dsp.frames"):
-            snapshot_sets = tag_snapshot_set(log, psi, n_frames)
-            frames = snapshot_sets[0].n_frames
-            n_tags = len(snapshot_sets)
-            build_span.set(frames=frames, tags=n_tags)
-            n_ant = log.meta.n_antennas
-            live = log.antenna_liveness()
-            healthy = bool(live.all())
-            can_aoa = int(live.sum()) >= 2
-
-            pseudo = (
-                np.zeros((frames, n_tags, grid.size)) if include_pseudo else None
-            )
-            period = np.zeros((frames, n_tags, n_ant)) if include_period else None
-
-            _build_tag_frames(
-                snapshot_sets, log, grid, live, healthy, can_aoa, pseudo, period
-            )
-
-    channels: dict[str, np.ndarray] = {}
-    if pseudo is not None:
-        channels["pseudo"] = pseudo
-    if period is not None:
-        channels["period"] = period
-    return FeatureFrames(
-        channels=channels, label=label, meta={"antenna_liveness": live}
-    )
-
-
-def _collect_entries(
-    snapshot_sets: list[TagSnapshots],
-) -> tuple[list[tuple[int, int]], list[np.ndarray], list[np.ndarray], list[float]]:
-    """Every valid ``(tag, frame)`` dwell with its snapshot rows."""
-    frames = snapshot_sets[0].n_frames
-    entries: list[tuple[int, int]] = []
-    z_rows, valid_rows, wavelengths = [], [], []
-    for k, snaps in enumerate(snapshot_sets):
-        # Vectorised snaps.frame_valid over the tag's frame axis.
-        ok = np.flatnonzero(
-            (snaps.valid.any(axis=1).sum(axis=1) >= 2)[:frames]
+    frames = _frame_count(log, n_frames)
+    with span("dsp.frames.build", reads=log.n_reads, frames=frames, tags=log.n_tags):
+        (out,) = _build_frames(
+            [(log, psi, frames)], angles_deg, include_pseudo, include_period
         )
-        entries.extend((k, int(f)) for f in ok)
-        z_rows.extend(snaps.z[f] for f in ok)
-        valid_rows.extend(snaps.valid[f] for f in ok)
-        wavelengths.extend(float(snaps.wavelength_m[f]) for f in ok)
-    return entries, z_rows, valid_rows, wavelengths
-
-
-def _fill_tag_frames(
-    snapshot_sets: list[TagSnapshots],
-    entries: list[tuple[int, int]],
-    spectra: np.ndarray | None,
-    powers: np.ndarray | None,
-    pseudo: np.ndarray | None,
-    period: np.ndarray | None,
-) -> None:
-    """Scatter per-entry DSP outputs into the frame tensors; invalid
-    frames repeat the tag's previous frame (zero for a missing first
-    frame)."""
-    frames = snapshot_sets[0].n_frames
-    position = {entry: i for i, entry in enumerate(entries)}
-    for k in range(len(snapshot_sets)):
-        for f in range(frames):
-            i = position.get((k, f))
-            if i is None:
-                if f > 0:
-                    if pseudo is not None:
-                        pseudo[f, k] = pseudo[f - 1, k]
-                    if period is not None:
-                        period[f, k] = period[f - 1, k]
-                continue
-            if pseudo is not None and spectra is not None:
-                pseudo[f, k] = spectra[i]
-            if period is not None and powers is not None:
-                period[f, k] = powers[i]
-
-
-def _build_tag_frames(
-    snapshot_sets: list[TagSnapshots],
-    log: ReadLog,
-    grid: np.ndarray,
-    live: np.ndarray,
-    healthy: bool,
-    can_aoa: bool,
-    pseudo: np.ndarray | None,
-    period: np.ndarray | None,
-) -> None:
-    """Fill the per-tag frame tensors in place (split out of the public
-    entry point so the span covers exactly the assembly work).
-
-    Every valid ``(tag, frame)`` dwell of the whole sample goes into
-    *one* stacked batch — one covariance build, one stacked
-    eigendecomposition, one stacked FFT — instead of a Python loop of
-    per-frame DSP calls; invalid frames then repeat the previous frame
-    exactly as before.
-    """
-    entries, z_rows, valid_rows, wavelengths = _collect_entries(snapshot_sets)
-
-    spectra: np.ndarray | None = None
-    powers: np.ndarray | None = None
-    if entries:
-        z_stack = np.stack(z_rows)
-        v_stack = np.stack(valid_rows)
-        if period is not None:
-            with stage_boundary("dsp.periodogram"):
-                powers = power_to_db(
-                    spatial_periodogram_batch(
-                        z_stack, v_stack, liveness=None if healthy else live
-                    )
-                )
-        if pseudo is not None and healthy:
-            with stage_boundary("dsp.music"):
-                covs = spatial_covariance_stack(z_stack, v_stack)
-                raw, _dims, _eigs = music_spectra_batch(
-                    covs,
-                    spacing_m=log.meta.spacing_m,
-                    wavelength_m=np.asarray(wavelengths),
-                    angles_deg=grid,
-                )
-                spectra = normalize_pseudospectrum(raw)
-        elif pseudo is not None and can_aoa:
-            with stage_boundary("dsp.music"):
-                spectra = np.stack(
-                    [
-                        normalize_pseudospectrum(
-                            masked_pseudospectrum(
-                                z_rows[i],
-                                valid_rows[i],
-                                live,
-                                spacing_m=log.meta.spacing_m,
-                                wavelength_m=wavelengths[i],
-                                angles_deg=grid,
-                            ).spectrum
-                        )
-                        for i in range(len(entries))
-                    ]
-                )
-
-    _fill_tag_frames(snapshot_sets, entries, spectra, powers, pseudo, period)
+    out.label = label
+    return out
 
 
 def build_spectrum_frames_many(
@@ -302,98 +134,110 @@ def build_spectrum_frames_many(
     include_pseudo: bool = True,
     include_period: bool = True,
 ) -> list[FeatureFrames]:
-    """Featurise many windows through one pooled DSP batch.
+    """The M2AI preprocessing output: pseudospectrum + periodogram frames.
 
-    The cross-stream serving entry point: every valid ``(tag, dwell)``
-    of every window — across all streams a fleet shard is ticking —
-    goes into *one* stacked periodogram and *one* stacked MUSIC batch,
-    so the per-call dispatch cost of the small-matrix DSP kernels is
-    paid once per shard tick rather than once per window.  Each
-    window's output is identical to :func:`build_spectrum_frames` on
-    the same ``(log, psi)``: pooling only widens the stacks, and every
-    kernel in them is per-row.
+    Every valid ``(tag, dwell)`` of every window — across all streams a
+    fleet shard is ticking — goes into *one* stacked periodogram and
+    *one* stacked MUSIC batch per group of windows that share an array
+    geometry, frame count and port-liveness mask, so the per-call
+    dispatch cost of the small-matrix DSP kernels is paid once per
+    group rather than once per window.  Every kernel in the stacks is
+    per-row, so a window's output does not depend on what it was
+    pooled with.
 
-    Windows with a dead antenna port take the scalar masked-subarray
-    path (their covariances live on a different element layout), so a
-    degraded stream slows only itself down.
+    Frames where a tag was not observed on at least two ports repeat
+    the tag's previous frame (zero for a missing first frame) — the
+    streaming-friendly imputation a real deployment would use.
+
+    Dead antenna ports (no reads anywhere in a window's log) degrade
+    the computation instead of poisoning it: the pseudospectrum shrinks
+    to the surviving subarray and the periodogram is re-normalised to
+    the live aperture.  Feature shapes are unchanged, so a model
+    trained on the healthy array still accepts the degraded frames.
 
     Args:
-        windows: ``(log, psi, n_frames)`` per window; ``n_frames``
-            None derives the frame count from the log span.
-        angles_deg: pseudospectrum angle grid shared by the batch.
+        windows: ``(log, psi, n_frames)`` per window; ``psi`` holds the
+            doubled phases aligned with the log (calibrated or not),
+            and ``n_frames`` None derives the frame count from the log
+            span.
+        angles_deg: pseudospectrum angle grid (paper default, 180 pts).
         include_pseudo: emit the ``"pseudo"`` channel.
         include_period: emit the ``"period"`` channel.
 
     Returns:
         One :class:`FeatureFrames` per input window, in order; each
         window's ``"pseudo"`` channel has shape: ``(F, n_tags, 180)``
-        and its ``"period"`` channel shape: ``(F, n_tags, N)``.
+        and its ``"period"`` channel shape: ``(F, n_tags, N)``;
+        ``meta["antenna_liveness"]`` records the port mask the features
+        were computed under.
     """
+    with span("dsp.frames.build_many", windows=len(windows)):
+        return _build_frames(windows, angles_deg, include_pseudo, include_period)
+
+
+def _build_frames(
+    windows: list[tuple[ReadLog, np.ndarray, int | None]],
+    angles_deg: np.ndarray | None,
+    include_pseudo: bool,
+    include_period: bool,
+) -> list[FeatureFrames]:
+    """The frame-assembly kernel behind both public entry points."""
     grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
     out: list[FeatureFrames | None] = [None] * len(windows)
-    # Pool per array geometry + frame count (normally exactly one group
-    # across the whole fleet): those windows share one binning pass,
-    # one covariance/eigen stack and one scatter.
-    groups: dict[tuple, list[tuple[int, ReadLog, np.ndarray, np.ndarray]]] = {}
-    with span("dsp.frames.build_many", windows=len(windows)):
-        for w, (log, psi, n_frames) in enumerate(windows):
-            live = log.antenna_liveness()
-            if not bool(live.all()):
-                # Dead ports take the scalar masked-subarray path (their
-                # covariances live on a different element layout), so a
-                # degraded stream slows only itself down.
-                out[w] = build_spectrum_frames(
-                    log,
-                    psi,
-                    n_frames=n_frames,
-                    angles_deg=grid,
-                    include_pseudo=include_pseudo,
-                    include_period=include_period,
-                )
-                continue
-            meta = log.meta
-            if n_frames is None:
-                # Mirror build_snapshots_all's span-derived frame count.
-                t0 = np.floor(log.timestamp_s.min() / meta.dwell_s) * meta.dwell_s
-                span_s = log.timestamp_s.max() - t0
-                n_frames = max(1, int(np.ceil((span_s + 1e-9) / meta.dwell_s)))
-            key = (
-                log.n_tags,
-                int(n_frames),
-                meta.n_antennas,
-                float(meta.dwell_s),
-                float(meta.slot_s),
-                float(meta.spacing_m),
-            )
-            groups.setdefault(key, []).append((w, log, psi, live))
-
-        for key, members in groups.items():
-            _pool_spectrum_group(
-                key, members, grid, include_pseudo, include_period, out
-            )
+    # Pool per array geometry + frame count + liveness (normally one
+    # group across the whole fleet): those windows share one binning
+    # pass, one covariance/eigen stack and one scatter.
+    groups: dict[tuple, list[int]] = {}
+    lives = [log.antenna_liveness() for log, _psi, _n in windows]
+    for w, (log, _psi, n_frames) in enumerate(windows):
+        meta = log.meta
+        key = (
+            log.n_tags,
+            _frame_count(log, n_frames),
+            meta.n_antennas,
+            float(meta.dwell_s),
+            float(meta.slot_s),
+            float(meta.spacing_m),
+            lives[w].tobytes(),
+        )
+        groups.setdefault(key, []).append(w)
+    for key, members in groups.items():
+        n_tags, frames, n_ant, _dwell, _slot, spacing, _live = key
+        pseudo, period = _group_frames(
+            [windows[w] for w in members], lives[members[0]], n_tags, frames,
+            n_ant, spacing, grid, include_pseudo, include_period,
+        )
+        for i, w in enumerate(members):
+            channels: dict[str, np.ndarray] = {}
+            if pseudo is not None:
+                channels["pseudo"] = pseudo[i]
+            if period is not None:
+                channels["period"] = period[i]
+            out[w] = FeatureFrames(channels=channels, meta={"antenna_liveness": lives[w]})
     return out  # type: ignore[return-value]  # every slot is filled above
 
 
-def _pool_spectrum_group(
-    key: tuple,
-    members: list[tuple[int, ReadLog, np.ndarray, np.ndarray]],
+def _group_frames(
+    windows: list[tuple[ReadLog, np.ndarray, int | None]],
+    live: np.ndarray,
+    n_tags: int,
+    frames: int,
+    n_ant: int,
+    spacing: float,
     grid: np.ndarray,
     include_pseudo: bool,
     include_period: bool,
-    out: list[FeatureFrames | None],
-) -> None:
-    """Featurise one geometry group of healthy windows as a single batch.
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Frame tensors ``(W, F, n_tags, D)`` for one pooling group.
 
     One :func:`build_snapshots_many` binning pass, one stacked
     periodogram/MUSIC call over every valid ``(window, tag, dwell)``
-    entry in the group, then a vectorised scatter + forward fill that
-    replicates :func:`_fill_tag_frames` per window.
+    entry in the group, then a vectorised scatter + forward fill.
     """
-    n_tags, frames, n_ant, _dwell, _slot, spacing = key
     with stage_boundary("dsp.frames"):
         z, valid, wavelength, _frame_time = build_snapshots_many(
-            [log for _w, log, _psi, _live in members],
-            [psi for _w, _log, psi, _live in members],
+            [log for log, _psi, _n in windows],
+            [psi for _log, psi, _n in windows],
             frames,
         )
         # A (window, tag, dwell) joins the batch when it saw >= 2 ports
@@ -404,38 +248,32 @@ def _pool_spectrum_group(
         v_rows = valid[w_e, t_e, f_e]
         wavelengths = wavelength[w_e, t_e, f_e]
 
-    powers = spectra = None
+    n_windows = len(windows)
+    pseudo = (
+        np.zeros((n_windows, frames, n_tags, grid.size)) if include_pseudo else None
+    )
+    period = np.zeros((n_windows, frames, n_tags, n_ant)) if include_period else None
+    # Entries exist only with >= 2 live ports, so a dead window
+    # (fewer than two) keeps all-zero frames.
     if w_e.size:
-        if include_period:
+        if period is not None:
             with stage_boundary("dsp.periodogram"):
-                powers = power_to_db(spatial_periodogram_batch(z_rows, v_rows))
-        if include_pseudo:
+                period[w_e, f_e, t_e] = power_to_db(
+                    spatial_periodogram_batch(z_rows, v_rows, liveness=live)
+                )
+        if pseudo is not None:
             with stage_boundary("dsp.music"):
-                covs = spatial_covariance_stack(z_rows, v_rows)
+                covs, elements = subarray_covariance_stack(z_rows, v_rows, live)
                 raw, _dims, _eigs = music_spectra_batch(
                     covs,
                     spacing_m=spacing,
                     wavelength_m=wavelengths,
                     angles_deg=grid,
+                    element_indices=elements,
                 )
-                spectra = normalize_pseudospectrum(raw)
-
-    n_windows = len(members)
-    pseudo = (
-        np.zeros((n_windows, frames, n_tags, grid.size))
-        if include_pseudo
-        else None
-    )
-    period = (
-        np.zeros((n_windows, frames, n_tags, n_ant)) if include_period else None
-    )
-    if pseudo is not None and spectra is not None:
-        pseudo[w_e, f_e, t_e] = spectra
-    if period is not None and powers is not None:
-        period[w_e, f_e, t_e] = powers
+                pseudo[w_e, f_e, t_e] = normalize_pseudospectrum(raw)
     # Invalid frames repeat the tag's previous frame (zero for a
-    # missing first frame) — _fill_tag_frames, vectorised over the
-    # whole group.
+    # missing first frame).
     have = ok.transpose(0, 2, 1)  # (W, F, T)
     for f in range(1, frames):
         miss = ~have[:, f]
@@ -444,13 +282,4 @@ def _pool_spectrum_group(
                 pseudo[:, f][miss] = pseudo[:, f - 1][miss]
             if period is not None:
                 period[:, f][miss] = period[:, f - 1][miss]
-
-    for i, (w, _log, _psi, live) in enumerate(members):
-        channels: dict[str, np.ndarray] = {}
-        if pseudo is not None:
-            channels["pseudo"] = pseudo[i]
-        if period is not None:
-            channels["period"] = period[i]
-        out[w] = FeatureFrames(
-            channels=channels, meta={"antenna_liveness": live}
-        )
+    return pseudo, period

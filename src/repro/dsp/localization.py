@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.correlation import spatial_covariance
-from repro.dsp.music import music_pseudospectrum
+from repro.dsp.correlation import spatial_covariance_stack
+from repro.dsp.music import DEFAULT_ANGLES_DEG, music_spectra_batch
 from repro.dsp.snapshots import build_snapshots
 from repro.hardware.antenna import UniformLinearArray
 from repro.hardware.llrp import ReadLog
@@ -52,27 +52,19 @@ def estimate_bearing(
         ValueError: when no frame has enough antennas observed.
     """
     snaps = build_snapshots(log, psi, tag, n_frames=n_frames)
-    accumulated: np.ndarray | None = None
-    angles: np.ndarray | None = None
-    used = 0
-    for f in range(snaps.n_frames):
-        if not snaps.frame_valid(f):
-            continue
-        cov = spatial_covariance(snaps.z[f], snaps.valid[f])
-        result = music_pseudospectrum(
-            cov,
-            spacing_m=log.meta.spacing_m,
-            wavelength_m=float(snaps.wavelength_m[f]),
-        )
-        normalized = result.spectrum / result.spectrum.max()
-        accumulated = normalized if accumulated is None else accumulated + normalized
-        angles = result.angles_deg
-        used += 1
-    if accumulated is None or angles is None:
+    ok = snaps.valid.any(axis=1).sum(axis=1) >= 2  # TagSnapshots.frame_valid
+    used = int(ok.sum())
+    if not used:
         raise ValueError(f"tag {tag}: no usable frames for bearing estimation")
+    spectra, _dims, _eigs = music_spectra_batch(
+        spatial_covariance_stack(snaps.z[ok], snaps.valid[ok]),
+        spacing_m=log.meta.spacing_m,
+        wavelength_m=snaps.wavelength_m[ok],
+    )
+    accumulated = (spectra / spectra.max(axis=1, keepdims=True)).sum(axis=0)
     peak = int(np.argmax(accumulated))
     return BearingEstimate(
-        angle_deg=float(angles[peak]),
+        angle_deg=float(DEFAULT_ANGLES_DEG[peak]),
         power=float(accumulated[peak] / used),
         n_frames=used,
     )

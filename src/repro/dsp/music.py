@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dsp.correlation import subarray_covariance_stack
 from repro.obs.tracing import span
 
 PHASE_MULTIPLIER = 4.0
@@ -176,7 +177,7 @@ def clear_steering_cache() -> None:
 
 
 DEFAULT_GAP_RATIO = 0.08
-"""Eigenvalue-gap threshold shared by the scalar and batched paths."""
+"""Eigenvalue-gap threshold of the source-count rule."""
 
 
 def estimate_n_sources(
@@ -193,12 +194,19 @@ def estimate_n_sources(
     Returns:
         An integer in ``[1, N-1]``.
     """
-    lam = np.sort(np.abs(np.asarray(eigenvalues)))[::-1]
-    n = lam.size
-    cap = max_sources if max_sources is not None else n - 1
-    cap = max(1, min(cap, n - 1))
-    count = int(np.sum(lam > gap_ratio * lam[0]))
-    return max(1, min(count, cap))
+    lam = np.asarray(eigenvalues).reshape(1, -1)
+    cap = max_sources if max_sources is not None else lam.shape[1] - 1
+    return int(_source_counts(lam, cap, gap_ratio)[0])
+
+
+def _source_counts(
+    eigenvalues: np.ndarray, cap: int, gap_ratio: float = DEFAULT_GAP_RATIO
+) -> np.ndarray:
+    """The source-count rule over a ``(W, N)`` stack of eigenvalue
+    profiles, clipped to ``[1, min(cap, N-1)]``."""
+    lam = np.sort(np.abs(eigenvalues), axis=1)[:, ::-1]
+    counts = np.sum(lam > gap_ratio * lam[:, :1], axis=1)
+    return np.clip(counts, 1, max(1, min(cap, eigenvalues.shape[1] - 1)))
 
 
 @dataclass(frozen=True)
@@ -258,133 +266,26 @@ def music_pseudospectrum(
     phase_multiplier: float = PHASE_MULTIPLIER,
     element_indices: np.ndarray | None = None,
 ) -> MusicResult:
-    """Compute the MUSIC pseudospectrum of one covariance matrix.
+    """MUSIC pseudospectrum of one ``(N, N)`` covariance matrix.
 
-    Args:
-        covariance: ``(N, N)`` Hermitian spatial covariance.
-        spacing_m: array element spacing.
-        wavelength_m: carrier wavelength of the dwell.
-        angles_deg: evaluation grid (paper default: 180 angles).
-        n_sources: force the signal-subspace dimension; estimated from
-            the eigenvalue gap when None.
-        phase_multiplier: see :func:`steering_matrix`.
-        element_indices: physical positions of the covariance's
-            elements, for a covariance already shrunk to the *live*
-            ports of a degraded array (see
-            :func:`masked_pseudospectrum`).  None means the full
-            contiguous ULA.
+    A batch of one for :func:`music_spectra_batch` (same arguments,
+    scalar ``wavelength_m`` / ``n_sources``).
 
     Returns:
         A :class:`MusicResult` whose spectrum has shape: ``(A,)`` for
         ``A`` grid angles (paper default 180).
-
-    Raises:
-        ValueError: for a non-square covariance.
     """
-    r = np.asarray(covariance, dtype=np.complex128)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError("covariance must be square")
     grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
-
-    with span("dsp.music", elements=int(r.shape[0])):
-        eigvals, eigvecs = np.linalg.eigh(r)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = eigvals[order].real
-        eigvecs = eigvecs[:, order]
-
-        m = n_sources if n_sources is not None else estimate_n_sources(eigvals)
-        m = max(1, min(m, r.shape[0] - 1))
-        noise = eigvecs[:, m:]
-
-        a = cached_steering_matrix(
-            grid, r.shape[0], spacing_m, wavelength_m, phase_multiplier,
-            element_indices=element_indices,
-        )
-        proj = noise.conj().T @ a
-        denom = np.maximum(np.sum(np.abs(proj) ** 2, axis=0), 1e-12)
-        spectrum = 1.0 / denom
+    spectra, dims, eigvals = _music_spectra(
+        np.asarray(covariance)[None], spacing_m, wavelength_m, grid, n_sources,
+        phase_multiplier, element_indices, "dsp.music",
+    )
     return MusicResult(
         angles_deg=np.asarray(grid, dtype=np.float64),
-        spectrum=spectrum,
-        n_sources=m,
-        eigenvalues=eigvals,
+        spectrum=spectra[0],
+        n_sources=int(dims[0]),
+        eigenvalues=eigvals[0],
     )
-
-
-def music_pseudospectrum_batch(
-    covariances: np.ndarray,
-    spacing_m: float,
-    wavelength_m: float | np.ndarray,
-    angles_deg: np.ndarray | None = None,
-    n_sources: int | np.ndarray | None = None,
-    phase_multiplier: float = PHASE_MULTIPLIER,
-    element_indices: np.ndarray | None = None,
-) -> list[MusicResult]:
-    """MUSIC pseudospectra for a whole stack of covariances at once.
-
-    Amortises the expensive per-frame work of
-    :func:`music_pseudospectrum` across a dwell batch: one stacked
-    ``np.linalg.eigh`` over the ``(W, N, N)`` covariances and one
-    steering-matrix cache lookup per distinct carrier, instead of W
-    separate LAPACK calls and W matrix rebuilds.  The per-window
-    results are numerically identical to calling the scalar function in
-    a loop (the same LAPACK kernel runs per matrix either way).
-
-    Args:
-        covariances: ``(W, N, N)`` stack of Hermitian covariances.
-        spacing_m: array element spacing (shared by the batch).
-        wavelength_m: carrier wavelength — a scalar, or ``(W,)`` per
-            window (frequency hopping changes the carrier per dwell).
-        angles_deg: evaluation grid shared by the batch.
-        n_sources: forced signal-subspace dimension — None (estimate
-            per window), a scalar, or ``(W,)`` per window.
-        phase_multiplier: see :func:`steering_matrix`.
-        element_indices: physical element positions (shared), for
-            covariances already shrunk to a degraded subarray.
-
-    Returns:
-        A list of W :class:`MusicResult` objects; each spectrum has
-        shape: ``(A,)`` for ``A`` grid angles.
-
-    Raises:
-        ValueError: for a non-``(W, N, N)`` stack or a wavelength /
-            ``n_sources`` array that does not match W.
-    """
-    r = np.asarray(covariances, dtype=np.complex128)
-    if r.ndim != 3 or r.shape[1] != r.shape[2]:
-        raise ValueError("covariances must be a (W, N, N) stack")
-    n_windows, n = r.shape[0], r.shape[1]
-    grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
-    wavelengths = np.broadcast_to(
-        np.asarray(wavelength_m, dtype=np.float64), (n_windows,)
-    )
-    forced = (
-        None
-        if n_sources is None
-        else np.broadcast_to(np.asarray(n_sources, dtype=np.int64), (n_windows,))
-    )
-
-    if n_windows == 0:
-        return []
-    spectra, n_src, eigvals = music_spectra_batch(
-        r,
-        spacing_m,
-        wavelengths,
-        angles_deg=grid,
-        n_sources=forced,
-        phase_multiplier=phase_multiplier,
-        element_indices=element_indices,
-    )
-    grid_f64 = np.asarray(grid, dtype=np.float64)
-    return [
-        MusicResult(
-            angles_deg=grid_f64,
-            spectrum=spectra[w],
-            n_sources=int(n_src[w]),
-            eigenvalues=eigvals[w],
-        )
-        for w in range(n_windows)
-    ]
 
 
 def music_spectra_batch(
@@ -392,14 +293,14 @@ def music_spectra_batch(
     spacing_m: float,
     wavelength_m: float | np.ndarray,
     angles_deg: np.ndarray | None = None,
-    n_sources: np.ndarray | None = None,
+    n_sources: int | np.ndarray | None = None,
     phase_multiplier: float = PHASE_MULTIPLIER,
     element_indices: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked MUSIC spectra without per-entry result objects.
+    """MUSIC pseudospectra (Eq. 12) for a whole stack of covariances.
 
-    The array-level core of :func:`music_pseudospectrum_batch`: one
-    stacked eigendecomposition, then one noise-projection matmul per
+    One stacked eigendecomposition splits every matrix into signal and
+    noise subspaces, then one noise-projection matmul runs per
     *distinct* ``(subspace dim, wavelength)`` pair rather than per
     entry.  Cross-stream serving pools every (tag, dwell) of every
     window of every stream into this call, so the entry count reaches
@@ -410,41 +311,68 @@ def music_spectra_batch(
     Args:
         covariances: ``(W, N, N)`` Hermitian covariance stack.
         spacing_m: array element spacing (shared by the batch).
-        wavelength_m: scalar or ``(W,)`` per-entry carrier wavelength.
-        angles_deg: evaluation grid shared by the batch.
-        n_sources: ``(W,)`` forced subspace dimensions, or None to
-            estimate per entry from the eigenvalue gap.
+        wavelength_m: carrier wavelength — a scalar, or ``(W,)`` per
+            entry (frequency hopping changes the carrier per dwell).
+        angles_deg: evaluation grid shared by the batch (paper
+            default: 180 angles).
+        n_sources: forced signal-subspace dimension — None (estimate
+            per entry from the eigenvalue gap), a scalar, or ``(W,)``.
         phase_multiplier: see :func:`steering_matrix`.
-        element_indices: physical element positions (shared).
+        element_indices: physical positions of the covariances'
+            elements, for covariances already shrunk to the *live*
+            ports of a degraded array (see
+            :func:`~repro.dsp.correlation.subarray_covariance_stack`).
+            None means the full contiguous ULA.
 
     Returns:
         ``(spectra, n_sources, eigenvalues)`` with shapes ``(W, A)``,
-        ``(W,)`` and ``(W, N)`` — eigenvalues sorted descending,
-        matching the scalar path.
+        ``(W,)`` and ``(W, N)`` — eigenvalues sorted descending.
+
+    Raises:
+        ValueError: for a non-``(W, N, N)`` stack.
+    """
+    grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
+    return _music_spectra(
+        covariances, spacing_m, wavelength_m, grid, n_sources,
+        phase_multiplier, element_indices, "dsp.music.batch",
+    )
+
+
+def _music_spectra(
+    covariances: np.ndarray,
+    spacing_m: float,
+    wavelength_m: float | np.ndarray,
+    grid: np.ndarray,
+    n_sources: int | np.ndarray | None,
+    phase_multiplier: float,
+    element_indices: np.ndarray | None,
+    span_name: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The MUSIC kernel behind both public entry points.
+
+    Returns:
+        ``(spectra, n_sources, eigenvalues)`` as for
+        :func:`music_spectra_batch`, timed as the span ``span_name``.
     """
     r = np.asarray(covariances, dtype=np.complex128)
     if r.ndim != 3 or r.shape[1] != r.shape[2]:
         raise ValueError("covariances must be a (W, N, N) stack")
     n_windows, n = r.shape[0], r.shape[1]
-    grid = DEFAULT_ANGLES_DEG if angles_deg is None else np.asarray(angles_deg)
     wavelengths = np.broadcast_to(
         np.asarray(wavelength_m, dtype=np.float64), (n_windows,)
     )
     if n_windows == 0:
         return np.empty((0, grid.size)), np.empty(0, dtype=int), np.empty((0, n))
-    with span("dsp.music.batch", windows=n_windows, elements=n):
+    with span(span_name, windows=n_windows, elements=n):
         eigvals, eigvecs = np.linalg.eigh(r)
-        # eigh returns ascending order; the scalar path sorts descending.
+        # eigh returns ascending order; results are reported descending.
         eigvals = eigvals[:, ::-1].real
         eigvecs = eigvecs[:, :, ::-1]
         if n_sources is None:
-            # Vectorised estimate_n_sources: same sort-abs-threshold
-            # rule, one pass over the whole stack.
-            lam = np.sort(np.abs(eigvals), axis=1)[:, ::-1]
-            counts = np.sum(lam > DEFAULT_GAP_RATIO * lam[:, :1], axis=1)
-            dims = np.clip(counts, 1, max(1, n - 1))
+            dims = _source_counts(eigvals, n - 1)
         else:
-            dims = np.clip(np.asarray(n_sources, dtype=np.int64), 1, max(1, n - 1))
+            forced = np.broadcast_to(np.asarray(n_sources, dtype=np.int64), (n_windows,))
+            dims = np.clip(forced, 1, max(1, n - 1))
         spectra = np.empty((n_windows, grid.size))
         groups: dict[tuple[int, float], list[int]] = {}
         for w in range(n_windows):
@@ -471,13 +399,13 @@ def masked_pseudospectrum(
     n_sources: int | None = None,
     phase_multiplier: float = PHASE_MULTIPLIER,
 ) -> MusicResult:
-    """MUSIC over the live subarray of a degraded antenna array.
+    """MUSIC over the live subarray of one dwell of a degraded array.
 
-    Instead of silently ingesting zero columns for dead ports (which
-    biases the covariance and plants spurious nulls), the correlation
-    matrix is shrunk to the surviving elements and the steering vectors
-    are evaluated at their true, possibly non-contiguous positions.
-    With every port live this is exactly the full-array pipeline.
+    The covariance is shrunk to the surviving elements by
+    :func:`~repro.dsp.correlation.subarray_covariance_stack` (the same
+    helper the pooled frame builder uses) and the steering vectors are
+    evaluated at their true, possibly non-contiguous positions.  With
+    every port live this is exactly the full-array pipeline.
 
     Args:
         snapshots: ``(K, N)`` complex snapshots over the *full* array.
@@ -497,33 +425,12 @@ def masked_pseudospectrum(
     Raises:
         ValueError: when fewer than two ports are live.
     """
-    from repro.dsp.correlation import spatial_covariance
-    from repro.obs.metrics import counter
-
-    live = np.asarray(liveness, dtype=bool)
-    if int(live.sum()) < 2:
+    if int(np.count_nonzero(liveness)) < 2:
         raise ValueError("need at least two live ports for AoA")
-    counter("dsp.music.masked_total").inc()
-    if live.all():
-        cov = spatial_covariance(snapshots, valid)
-        return music_pseudospectrum(
-            cov, spacing_m, wavelength_m, angles_deg, n_sources, phase_multiplier
-        )
-    indices = np.flatnonzero(live)
-    # Forward-backward averaging requires a mirror-symmetric element
-    # layout; a ragged surviving subarray (e.g. ports 0, 1, 3) is not,
-    # so FB is only kept when the survivors stay uniformly spaced.
-    gaps = np.diff(indices)
-    uniform = bool(gaps.size == 0 or np.all(gaps == gaps[0]))
-    cov = spatial_covariance(
-        snapshots[:, indices], valid[:, indices], use_forward_backward=uniform
+    covs, elements = subarray_covariance_stack(
+        np.asarray(snapshots)[None], np.asarray(valid)[None], liveness
     )
     return music_pseudospectrum(
-        cov,
-        spacing_m,
-        wavelength_m,
-        angles_deg,
-        n_sources,
-        phase_multiplier,
-        element_indices=indices,
+        covs[0], spacing_m, wavelength_m, angles_deg, n_sources,
+        phase_multiplier, element_indices=elements,
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dsp.correlation import select_snapshots
 from repro.obs.tracing import span
 
 
@@ -44,61 +45,17 @@ def spatial_periodogram(
     valid: np.ndarray | None = None,
     liveness: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Average spatial periodogram of a dwell's snapshots.
+    """Average spatial periodogram of one ``(K, N)`` dwell.
 
-    Args:
-        snapshots: ``(K, N)`` complex snapshots (rounds x antennas).
-        valid: optional ``(K, N)`` observation mask; incomplete
-            snapshots are dropped when any complete one exists.  When
-            *no* snapshot is complete (a degraded dwell), the invalid
-            entries of the surviving rows are zero-filled before the
-            transform — whatever values sit in unobserved slots are
-            measurement garbage and must not leak into the average.
-        liveness: optional ``(N,)`` port-liveness mask for a degraded
-            array.  Dead ports are excluded from the completeness
-            check, forced to zero, and the power density is rescaled by
-            ``N / n_live`` so the per-live-element power level stays
-            comparable to the healthy array instead of silently
-            sagging.  None (or all-live) reproduces the healthy path
-            exactly.
+    A batch of one for :func:`spatial_periodogram_batch`, with the same
+    selection, liveness and validation semantics.
 
     Returns:
         Mean power per spatial-frequency bin, shape: ``(N,)``.
-
-    Raises:
-        ValueError: when nothing is observed, or no port is live.
     """
-    x = np.asarray(snapshots, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ValueError("snapshots must be (K, N)")
-    with span("dsp.periodogram", snapshots=int(x.shape[0])):
-        live = None
-        if liveness is not None:
-            live = np.asarray(liveness, dtype=bool)
-            if live.shape != (x.shape[1],):
-                raise ValueError("liveness must be (N,)")
-            if not live.any():
-                raise ValueError("no live ports")
-            if live.all():
-                live = None
-        if valid is not None:
-            complete = (
-                valid.all(axis=1) if live is None else valid[:, live].all(axis=1)
-            )
-            if complete.any():
-                x = x[complete]
-            elif not valid.any():
-                raise ValueError("no valid snapshots")
-            else:
-                x = np.where(valid, x, 0.0)
-        if x.shape[0] == 0:
-            raise ValueError("no valid snapshots")
-        scale = 1.0
-        if live is not None:
-            x = np.where(live[None, :], x, 0.0)
-            scale = x.shape[1] / float(live.sum())
-        powers = np.abs(np.fft.fft(x, axis=1)) ** 2 / x.shape[1]
-        return scale * powers.mean(axis=0)
+    x = np.asarray(snapshots)[None]
+    mask = None if valid is None else np.asarray(valid)[None]
+    return _periodogram_stack(x, mask, liveness, "dsp.periodogram")[0]
 
 
 def spatial_periodogram_batch(
@@ -108,20 +65,23 @@ def spatial_periodogram_batch(
 ) -> np.ndarray:
     """Average spatial periodograms for a stack of dwells at once.
 
-    One FFT over the whole ``(W, K, N)`` stack replaces W separate
-    :func:`spatial_periodogram` calls; per-window snapshot selection
-    (drop incomplete rows when a complete one exists, zero-fill
-    otherwise) is expressed as a 0/1 row weighting, which is exact
-    because a zero-weighted row contributes exactly nothing to the
-    average.
+    One FFT over the whole ``(W, K, N)`` stack; per-dwell snapshot
+    selection is :func:`~repro.dsp.correlation.select_snapshots`'s 0/1
+    row weighting.
 
     Args:
         snapshots: ``(W, K, N)`` complex snapshots (windows x rounds x
             antennas).
-        valid: optional ``(W, K, N)`` observation mask, same semantics
-            per window as the scalar function.
+        valid: optional ``(W, K, N)`` observation mask; incomplete
+            snapshots are dropped when any complete one exists, and
+            the gaps are zero-filled otherwise.
         liveness: optional ``(N,)`` port-liveness mask shared by the
-            batch (one log = one liveness verdict).
+            batch (one log = one liveness verdict).  Dead ports are
+            excluded from the completeness check, forced to zero, and
+            the power density is rescaled by ``N / n_live`` so the
+            per-live-element power level stays comparable to the
+            healthy array instead of silently sagging.  None (or
+            all-live) is the healthy path exactly.
 
     Returns:
         Mean power per spatial-frequency bin, shape: ``(W, N)``.
@@ -130,39 +90,26 @@ def spatial_periodogram_batch(
         ValueError: on shape mismatches, when no port is live, or when
             some window has no observed entry at all.
     """
-    x = np.asarray(snapshots, dtype=np.complex128)
-    if x.ndim != 3:
-        raise ValueError("snapshots must be (W, K, N)")
+    return _periodogram_stack(snapshots, valid, liveness, "dsp.periodogram.batch")
+
+
+def _periodogram_stack(
+    snapshots: np.ndarray,
+    valid: np.ndarray | None,
+    liveness: np.ndarray | None,
+    span_name: str,
+) -> np.ndarray:
+    """The periodogram kernel behind both public entry points.
+
+    Returns:
+        Mean power per spatial-frequency bin, shape: ``(W, N)``, timed
+        as the span ``span_name``.
+    """
+    x, weights, live = select_snapshots(snapshots, valid, liveness)
     n_windows, n_rounds, n_ant = x.shape
     if n_windows == 0:
         return np.zeros((0, n_ant))
-    with span("dsp.periodogram.batch", windows=n_windows, snapshots=n_rounds):
-        live = None
-        if liveness is not None:
-            live = np.asarray(liveness, dtype=bool)
-            if live.shape != (n_ant,):
-                raise ValueError("liveness must be (N,)")
-            if not live.any():
-                raise ValueError("no live ports")
-            if live.all():
-                live = None
-        if valid is not None:
-            if valid.shape != x.shape:
-                raise ValueError("valid must match snapshots")
-            complete = (
-                valid.all(axis=2)
-                if live is None
-                else valid[:, :, live].all(axis=2)
-            )  # (W, K)
-            has_complete = complete.any(axis=1)
-            if not (has_complete | valid.any(axis=(1, 2))).all():
-                raise ValueError("no valid snapshots in some window")
-            # Keep complete rows where they exist; otherwise keep every
-            # row but silence the unobserved entries.
-            weights = np.where(has_complete[:, None], complete, True)
-            x = np.where(valid, x, 0.0)
-        else:
-            weights = np.ones((n_windows, n_rounds), dtype=bool)
+    with span(span_name, windows=n_windows, snapshots=n_rounds):
         scale = 1.0
         if live is not None:
             x = np.where(live[None, None, :], x, 0.0)

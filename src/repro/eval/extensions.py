@@ -202,113 +202,41 @@ def run_ext_realtime(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
 
 def run_ext_batching(quick: bool = True, seed: int = 0) -> ExperimentResult:
-    """Per-dwell scalar DSP loop vs the batched window→MUSIC path.
+    """Per-dwell batch-of-one DSP calls vs one stacked call per window set.
 
-    The streaming identifier used to run one ``music_pseudospectrum``
-    and one ``spatial_periodogram`` call per dwell; it now stacks every
-    valid dwell of a window into one batched call.  This driver rebuilds
-    both variants on identical simulated dwells, checks the spectra
-    agree to ``rtol=1e-12`` (the batching contract), and reports the
-    per-dwell cost and speedup of each stage.
+    Rebuilds both variants on identical simulated dwells through
+    :func:`repro.obs.profile.measure_dispatch` (which checks the
+    spectra agree to ``rtol=1e-12``) and reports the per-call dispatch
+    cost that pooling removes from each stage.
 
     Raises:
-        AssertionError: when a batched spectrum deviates from its
-            scalar reference beyond ``rtol=1e-12``.
+        AssertionError: when a stacked spectrum deviates from its
+            batch-of-one call beyond ``rtol=1e-12``.
     """
-    from repro.dsp.correlation import spatial_covariance_stack
-    from repro.dsp.frames import tag_snapshot_set
-    from repro.dsp.music import (
-        clear_steering_cache,
-        music_pseudospectrum,
-        music_pseudospectrum_batch,
-    )
-    from repro.dsp.periodogram import (
-        spatial_periodogram,
-        spatial_periodogram_batch,
-    )
     from repro.eval.harness import get_raw_samples
+    from repro.obs.profile import measure_dispatch
 
     raw = get_raw_samples(_cfg(quick, seed))[: 4 if quick else 8]
-    z_rows, valid_rows, wavelengths = [], [], []
-    spacing = raw[0].log.meta.spacing_m
-    for sample in raw:
-        psi = sample.psi()
-        for snaps in tag_snapshot_set(sample.log, psi, sample.n_frames):
-            for f in range(snaps.n_frames):
-                if snaps.frame_valid(f):
-                    z_rows.append(snaps.z[f])
-                    valid_rows.append(snaps.valid[f])
-                    wavelengths.append(float(snaps.wavelength_m[f]))
-    z = np.stack(z_rows)
-    valid = np.stack(valid_rows)
-    wl = np.asarray(wavelengths)
-    n_dwells = z.shape[0]
-    covs = spatial_covariance_stack(z, valid)
-    repeat = 3 if quick else 10
-
-    clear_steering_cache()
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        scalar_music = [
-            music_pseudospectrum(covs[w], spacing, wl[w])
-            for w in range(n_dwells)
-        ]
-    music_scalar_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-
-    clear_steering_cache()
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        batch_music = music_pseudospectrum_batch(covs, spacing, wl)
-    music_batch_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-    for scalar, batched in zip(scalar_music, batch_music):
-        np.testing.assert_allclose(
-            batched.spectrum, scalar.spectrum, rtol=1e-12,
-            err_msg="batched MUSIC deviates from the scalar path",
-        )
-
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        scalar_period = np.stack(
-            [spatial_periodogram(z[w], valid[w]) for w in range(n_dwells)]
-        )
-    period_scalar_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        batch_period = spatial_periodogram_batch(z, valid)
-    period_batch_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-    np.testing.assert_allclose(
-        batch_period, scalar_period, rtol=1e-12,
-        err_msg="batched periodogram deviates from the scalar path",
+    doc = measure_dispatch(
+        [(sample.log, sample.psi(), sample.n_frames) for sample in raw],
+        repeat=3 if quick else 10,
     )
-
-    rows = [
-        ExperimentRow("dwells in batch", None, float(n_dwells), unit="dwells"),
-        ExperimentRow("MUSIC scalar loop", None, music_scalar_ms, unit="ms"),
-        ExperimentRow("MUSIC batched", None, music_batch_ms, unit="ms"),
-        ExperimentRow(
-            "MUSIC speedup",
-            None,
-            music_scalar_ms / max(music_batch_ms, 1e-9),
-            unit="x",
-        ),
-        ExperimentRow("periodogram scalar loop", None, period_scalar_ms, unit="ms"),
-        ExperimentRow("periodogram batched", None, period_batch_ms, unit="ms"),
-        ExperimentRow(
-            "periodogram speedup",
-            None,
-            period_scalar_ms / max(period_batch_ms, 1e-9),
-            unit="x",
-        ),
-    ]
+    rows = [ExperimentRow("dwells in batch", None, float(doc["dwells"]), unit="dwells")]
+    for stage, label in (("music", "MUSIC"), ("periodogram", "periodogram")):
+        st = doc[stage]
+        rows += [
+            ExperimentRow(f"{label} scalar loop", None, st["scalar_ms"], unit="ms"),
+            ExperimentRow(f"{label} batched", None, st["batch_ms"], unit="ms"),
+            ExperimentRow(f"{label} speedup", None, st["speedup_x"], unit="x"),
+        ]
     return ExperimentResult(
         experiment_id="ext-batching",
         title="Batched vs per-dwell DSP throughput",
         rows=rows,
         notes=(
-            f"{n_dwells} real dwells from {len(raw)} simulated windows; "
+            f"{doc['dwells']} real dwells from {len(raw)} simulated windows; "
             "batched spectra verified bit-close (rtol 1e-12) against the "
-            "scalar loop before timing is reported."
+            "batch-of-one loop before timing is reported."
         ),
     )
 

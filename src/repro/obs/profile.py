@@ -17,9 +17,10 @@ window) is asserted before the artifact is written, so a refactor that
 silently drops an instrumentation point fails the benchmark job
 instead of producing a hollow artifact.
 
-Two parity gates run inside the measured block: the batched DSP
-entry points against their scalar loops (``rtol=1e-12``) and the fused
-LSTM against its per-timestep scalar reference (``rtol=1e-9``), plus
+Two parity gates run inside the measured block: the stacked DSP
+kernels against a loop of their batch-of-one adapters (``rtol=1e-12``)
+and the fused LSTM against its per-timestep scalar reference
+(``rtol=1e-9``), plus
 the float32 serve pack's accuracy-parity gate — decisions on the eval
 set must match float64 exactly before the streaming stages are
 measured through it.
@@ -49,13 +50,13 @@ REQUIRED_STAGES = (
 )
 """Stages the artifact must cover for the benchmark to count.
 
-The scalar ``dsp.music`` / ``dsp.periodogram`` spans come from the
-batch stage's scalar reference loop (the featurisation hot path itself
-now runs the ``*.batch`` entry points), so a refactor that silently
-drops either side of the scalar-vs-batched comparison still fails the
-benchmark job.  ``nn.fused`` is the fused-GEMM LSTM inner stage — its
-presence proves the recurrent fast path (not a fallback) served the
-measured windows.
+The single-item ``dsp.music`` / ``dsp.periodogram`` spans come from
+the batch stage's batch-of-one loop (featurisation itself only calls
+the stacked ``*.batch`` kernels), so a refactor that silently drops
+either side of that comparison still fails the benchmark job.
+``nn.fused`` is the fused-GEMM LSTM inner stage — its presence
+proves the recurrent fast path (not a fallback) served the measured
+windows.
 """
 
 _WINDOW_S = 4.0
@@ -145,89 +146,84 @@ def build_workload(quick: bool, seed: int):
     return pipeline, calibrator, stream, calibration_log, window_logs, dataset
 
 
-def run_batch_stage(window_logs: list, calibrator, repeat: int) -> dict:
-    """The ``batch`` stage: scalar-vs-batched DSP on identical inputs.
+def measure_dispatch(windows: list, repeat: int) -> dict:
+    """Per-dwell batch-of-one calls vs one stacked call, same dwells.
 
-    Builds one stack of real dwell snapshots/covariances from a window
-    log, runs the per-frame scalar MUSIC/periodogram loop and the
-    batched entry points on it, verifies the spectra agree to
-    ``rtol=1e-12`` (the batching contract), and reports the measured
-    speedup.  Runs inside the instrumented block, so it is also what
-    produces the scalar ``dsp.music`` / ``dsp.periodogram`` spans in
-    the artifact.
+    Stacks every valid ``(tag, dwell)`` of ``windows`` (``(log, psi,
+    n_frames)`` triples), then times a loop of single-dwell
+    :func:`~repro.dsp.music.music_pseudospectrum` /
+    :func:`~repro.dsp.periodogram.spatial_periodogram` calls against
+    one :func:`~repro.dsp.music.music_spectra_batch` /
+    :func:`~repro.dsp.periodogram.spatial_periodogram_batch` call over
+    the whole stack.  Both run the same kernel, so the difference is
+    the per-call dispatch cost that pooling amortises; the stacked rows
+    are checked against the loop to ``rtol=1e-12`` before any timing
+    is reported.
 
     Returns:
-        The ``"batch"`` section of the benchmark document.
+        ``dwells``, ``repeat``, per-stage ``scalar_ms`` / ``batch_ms`` /
+        ``speedup_x`` under ``music`` and ``periodogram``,
+        ``spectra_rtol`` and the steering-cache info.
 
     Raises:
-        AssertionError: when a batched spectrum deviates from its
-            scalar reference beyond ``rtol=1e-12``.
+        AssertionError: when a stacked row deviates from its
+            batch-of-one call beyond ``rtol=1e-12``.
     """
     from repro.dsp.correlation import spatial_covariance_stack
-    from repro.dsp.frames import tag_snapshot_set
     from repro.dsp.music import (
         clear_steering_cache,
         music_pseudospectrum,
-        music_pseudospectrum_batch,
+        music_spectra_batch,
         steering_cache_info,
     )
     from repro.dsp.periodogram import (
         spatial_periodogram,
         spatial_periodogram_batch,
     )
+    from repro.dsp.snapshots import build_snapshots_all
 
-    log = window_logs[0]
-    psi = calibrator.calibrate(log)
     z_rows, valid_rows, wavelengths = [], [], []
-    for snaps in tag_snapshot_set(log, psi):
-        for f in range(snaps.n_frames):
-            if snaps.frame_valid(f):
-                z_rows.append(snaps.z[f])
-                valid_rows.append(snaps.valid[f])
-                wavelengths.append(float(snaps.wavelength_m[f]))
-    z = np.stack(z_rows)
-    valid = np.stack(valid_rows)
-    wl = np.asarray(wavelengths)
-    spacing = log.meta.spacing_m
+    for log, psi, n_frames in windows:
+        for snaps in build_snapshots_all(log, psi, n_frames):
+            ok = snaps.valid.any(axis=1).sum(axis=1) >= 2  # frame_valid
+            z_rows.append(snaps.z[ok])
+            valid_rows.append(snaps.valid[ok])
+            wavelengths.append(snaps.wavelength_m[ok])
+    z = np.concatenate(z_rows)
+    valid = np.concatenate(valid_rows)
+    wl = np.concatenate(wavelengths)
+    spacing = windows[0][0].meta.spacing_m
     n_dwells = z.shape[0]
     covariances = spatial_covariance_stack(z, valid)
 
-    clear_steering_cache()
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        scalar_music = [
-            music_pseudospectrum(covariances[w], spacing, wl[w])
-            for w in range(n_dwells)
-        ]
-    music_scalar_ms = (time.perf_counter() - t0) * 1000.0 / repeat
+    def timed(fn) -> tuple[object, float]:
+        t0 = time.perf_counter()
+        for _ in range(repeat):
+            out = fn()
+        return out, (time.perf_counter() - t0) * 1000.0 / repeat
 
     clear_steering_cache()
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        batch_music = music_pseudospectrum_batch(covariances, spacing, wl)
-    music_batch_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-
-    for scalar, batched in zip(scalar_music, batch_music):
-        np.testing.assert_allclose(
-            batched.spectrum, scalar.spectrum, rtol=1e-12,
-            err_msg="batched MUSIC deviates from the scalar path",
-        )
-
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        scalar_period = np.stack(
-            [spatial_periodogram(z[w], valid[w]) for w in range(n_dwells)]
-        )
-    period_scalar_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        batch_period = spatial_periodogram_batch(z, valid)
-    period_batch_ms = (time.perf_counter() - t0) * 1000.0 / repeat
-
+    scalar_music, music_scalar_ms = timed(lambda: [
+        music_pseudospectrum(covariances[w], spacing, wl[w]).spectrum
+        for w in range(n_dwells)
+    ])
+    clear_steering_cache()
+    (batch_music, _dims, _eigs), music_batch_ms = timed(
+        lambda: music_spectra_batch(covariances, spacing, wl)
+    )
+    np.testing.assert_allclose(
+        batch_music, np.stack(scalar_music), rtol=1e-12,
+        err_msg="batched MUSIC deviates from the batch-of-one path",
+    )
+    scalar_period, period_scalar_ms = timed(lambda: np.stack(
+        [spatial_periodogram(z[w], valid[w]) for w in range(n_dwells)]
+    ))
+    batch_period, period_batch_ms = timed(
+        lambda: spatial_periodogram_batch(z, valid)
+    )
     np.testing.assert_allclose(
         batch_period, scalar_period, rtol=1e-12,
-        err_msg="batched periodogram deviates from the scalar path",
+        err_msg="batched periodogram deviates from the batch-of-one path",
     )
 
     return {
@@ -399,7 +395,10 @@ def run_profile(quick: bool = True, seed: int = 0, repeat: int | None = None) ->
         supervisor_health = supervisor.health().as_dict()
         for _ in range(max(repeat * 10, 20)):
             merge_hub_features(list(per_view))
-        batch_doc = run_batch_stage(window_logs, calibrator, repeat=max(repeat, 2))
+        batch_doc = measure_dispatch(
+            [(window_logs[0], calibrator.calibrate(window_logs[0]), None)],
+            repeat=max(repeat, 2),
+        )
         measure_s = time.perf_counter() - t_measure
         durations = obs.get_collector().durations_by_name()
         metrics_doc = json.loads(obs.get_registry().to_json())

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis.sanitize import AnomalyError, anomaly_detection
 from repro.core import M2AIPipeline
-from repro.core.streaming import StreamingIdentifier
+from repro.core.streaming import StreamingIdentifier, split_windows
 from repro.dsp import calibration, music
 from repro.dsp.calibration import PhaseCalibrator
 from repro.dsp.frames import build_spectrum_frames
@@ -73,6 +73,27 @@ class TestStreamingPinpointsInjection:
 
 
 class TestDspWrappers:
+    def test_pooled_prepare_is_checked(self, calibrator, small_log):
+        # Fleet featurisation runs the pooled kernels, not the scalar
+        # entry points: a poisoned window in a multi-window batch must
+        # still be pinned to a DSP stage.
+        pipeline = M2AIPipeline()
+        pipeline.model = object()  # prepare_windows never reaches predict
+        identifier = StreamingIdentifier(
+            pipeline=pipeline, calibrator=calibrator, window_s=1.6, min_reads=4
+        )
+        windows = [
+            (log, t_start, calibrator.calibrate(log))
+            for t_start, log in split_windows(small_log, 1.6)
+        ]
+        assert len(windows) >= 2
+        windows[1][2][:] = np.nan
+        with anomaly_detection():
+            with pytest.raises(AnomalyError) as excinfo:
+                identifier.prepare_windows(windows)
+        assert excinfo.value.kind == "non_finite"
+        assert excinfo.value.stage.startswith("repro.dsp.")
+
     def test_music_rejects_nan_covariance_by_stage(self):
         cov = np.full((4, 4), np.nan, dtype=np.complex128)
         with anomaly_detection():

@@ -1,10 +1,11 @@
-"""Batched DSP entry points: bit-close equivalence with the scalar path.
+"""Stacked DSP kernels against the per-dwell reference.
 
-The batching contract (DESIGN.md section 10): every batched function
-must reproduce the scalar loop it replaced to ``rtol=1e-12`` — same
-LAPACK kernels, same selection semantics — so these tests sweep random
-dwell stacks, degraded masks and forced subspace dimensions and compare
-element-wise against the scalar reference.
+Each DSP stage has one stacked implementation in ``src`` (the scalar
+entry points are batches of one).  These tests sweep random dwell
+stacks, degraded masks and forced subspace dimensions and compare the
+kernels element-wise against the textbook per-dwell loops in
+``tests/dsp/reference.py`` to ``rtol=1e-12`` — and check that each
+batch-of-one adapter returns exactly its kernel's row.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.dsp import (
     cached_steering_matrix,
     clear_steering_cache,
     music_pseudospectrum,
-    music_pseudospectrum_batch,
+    music_spectra_batch,
     spatial_covariance,
     spatial_covariance_stack,
     spatial_periodogram,
@@ -25,6 +26,7 @@ from repro.dsp import (
     steering_cache_info,
     steering_matrix,
 )
+from tests.dsp import reference
 
 RTOL = 1e-12
 SPACING = 0.04
@@ -63,15 +65,16 @@ class TestCovarianceStack:
         stack = spatial_covariance_stack(z, valid)
         for w in range(z.shape[0]):
             np.testing.assert_allclose(
-                stack[w], spatial_covariance(z[w], valid[w]), rtol=RTOL
+                stack[w], reference.covariance(z[w], valid[w]), rtol=RTOL
             )
+            np.testing.assert_array_equal(spatial_covariance(z[w], valid[w]), stack[w])
 
     def test_matches_scalar_without_mask(self):
         z, _, _ = random_dwells(3)
         z = z.real + 1j * z.imag  # strip the injected garbage pattern
         stack = spatial_covariance_stack(z)
         for w in range(z.shape[0]):
-            np.testing.assert_allclose(stack[w], spatial_covariance(z[w]), rtol=RTOL)
+            np.testing.assert_allclose(stack[w], reference.covariance(z[w]), rtol=RTOL)
 
     def test_forward_backward_toggle(self):
         z, valid, _ = random_dwells(4)
@@ -79,7 +82,7 @@ class TestCovarianceStack:
         for w in range(z.shape[0]):
             np.testing.assert_allclose(
                 stack[w],
-                spatial_covariance(z[w], valid[w], use_forward_backward=False),
+                reference.covariance(z[w], valid[w], use_forward_backward=False),
                 rtol=RTOL,
             )
 
@@ -98,19 +101,26 @@ class TestCovarianceStack:
             spatial_covariance_stack(z, valid)
 
 
+def assert_music_matches_reference(spectra, dims, eigvals, covs, wl, **kwargs):
+    for w in range(covs.shape[0]):
+        spectrum, m, lam = reference.music(covs[w], SPACING, wl[w], **kwargs)
+        np.testing.assert_allclose(spectra[w], spectrum, rtol=RTOL)
+        np.testing.assert_allclose(eigvals[w], lam, rtol=RTOL)
+        assert dims[w] == m
+
+
 class TestMusicBatch:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_scalar(self, seed):
         z, valid, wl = random_dwells(seed)
         covs = spatial_covariance_stack(z, valid)
-        batch = music_pseudospectrum_batch(covs, SPACING, wl)
-        for w, result in enumerate(batch):
-            scalar = music_pseudospectrum(covs[w], SPACING, wl[w])
-            np.testing.assert_allclose(result.spectrum, scalar.spectrum, rtol=RTOL)
-            np.testing.assert_allclose(
-                result.eigenvalues, scalar.eigenvalues, rtol=RTOL
-            )
-            assert result.n_sources == scalar.n_sources
+        spectra, dims, eigvals = music_spectra_batch(covs, SPACING, wl)
+        assert_music_matches_reference(spectra, dims, eigvals, covs, wl)
+        for w in range(covs.shape[0]):
+            one = music_pseudospectrum(covs[w], SPACING, wl[w])
+            np.testing.assert_array_equal(one.spectrum, spectra[w])
+            np.testing.assert_array_equal(one.eigenvalues, eigvals[w])
+            assert one.n_sources == dims[w]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_forced_n_sources_per_window(self, seed):
@@ -118,27 +128,27 @@ class TestMusicBatch:
         covs = spatial_covariance_stack(z, valid)
         rng = np.random.default_rng(seed + 100)
         forced = rng.integers(1, 4, size=covs.shape[0])
-        batch = music_pseudospectrum_batch(covs, SPACING, wl, n_sources=forced)
-        for w, result in enumerate(batch):
-            scalar = music_pseudospectrum(
+        spectra, dims, eigvals = music_spectra_batch(covs, SPACING, wl, n_sources=forced)
+        np.testing.assert_array_equal(dims, forced)
+        for w in range(covs.shape[0]):
+            spectrum, m, _lam = reference.music(
                 covs[w], SPACING, wl[w], n_sources=int(forced[w])
             )
-            np.testing.assert_allclose(result.spectrum, scalar.spectrum, rtol=RTOL)
-            assert result.n_sources == scalar.n_sources == int(forced[w])
+            np.testing.assert_allclose(spectra[w], spectrum, rtol=RTOL)
+            assert m == int(forced[w])
 
     def test_forced_n_sources_scalar_broadcasts(self):
         z, valid, wl = random_dwells(7, n_ant=4)
         covs = spatial_covariance_stack(z, valid)
-        batch = music_pseudospectrum_batch(covs, SPACING, wl, n_sources=2)
-        assert all(r.n_sources == 2 for r in batch)
+        _spectra, dims, _eigvals = music_spectra_batch(covs, SPACING, wl, n_sources=2)
+        assert (dims == 2).all()
 
     def test_shared_scalar_wavelength(self):
         z, valid, _ = random_dwells(5)
         covs = spatial_covariance_stack(z, valid)
-        batch = music_pseudospectrum_batch(covs, SPACING, 0.328)
-        for w, result in enumerate(batch):
-            scalar = music_pseudospectrum(covs[w], SPACING, 0.328)
-            np.testing.assert_allclose(result.spectrum, scalar.spectrum, rtol=RTOL)
+        spectra, dims, eigvals = music_spectra_batch(covs, SPACING, 0.328)
+        wl = np.full(covs.shape[0], 0.328)
+        assert_music_matches_reference(spectra, dims, eigvals, covs, wl)
 
     def test_element_indices_subarray(self):
         z, valid, wl = random_dwells(9, n_ant=4)
@@ -146,21 +156,23 @@ class TestMusicBatch:
         covs = spatial_covariance_stack(
             z[:, :, idx], valid[:, :, idx], use_forward_backward=False
         )
-        batch = music_pseudospectrum_batch(covs, SPACING, wl, element_indices=idx)
-        for w, result in enumerate(batch):
-            scalar = music_pseudospectrum(
-                covs[w], SPACING, wl[w], element_indices=idx
-            )
-            np.testing.assert_allclose(result.spectrum, scalar.spectrum, rtol=RTOL)
+        spectra, dims, eigvals = music_spectra_batch(
+            covs, SPACING, wl, element_indices=idx
+        )
+        assert_music_matches_reference(
+            spectra, dims, eigvals, covs, wl, element_indices=idx
+        )
 
     def test_empty_stack(self):
-        assert music_pseudospectrum_batch(np.zeros((0, 4, 4)), SPACING, 0.328) == []
+        spectra, dims, eigvals = music_spectra_batch(np.zeros((0, 4, 4)), SPACING, 0.328)
+        assert spectra.shape == (0, 180) and dims.shape == (0,)
+        assert eigvals.shape == (0, 4)
 
     def test_rejects_non_stack(self):
         with pytest.raises(ValueError):
-            music_pseudospectrum_batch(np.zeros((4, 4)), SPACING, 0.328)
+            music_spectra_batch(np.zeros((4, 4)), SPACING, 0.328)
         with pytest.raises(ValueError):
-            music_pseudospectrum_batch(np.zeros((2, 3, 4)), SPACING, 0.328)
+            music_spectra_batch(np.zeros((2, 3, 4)), SPACING, 0.328)
 
 
 class TestPeriodogramBatch:
@@ -170,8 +182,9 @@ class TestPeriodogramBatch:
         batch = spatial_periodogram_batch(z, valid)
         for w in range(z.shape[0]):
             np.testing.assert_allclose(
-                batch[w], spatial_periodogram(z[w], valid[w]), rtol=RTOL
+                batch[w], reference.periodogram(z[w], valid[w]), rtol=RTOL
             )
+            np.testing.assert_array_equal(spatial_periodogram(z[w], valid[w]), batch[w])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_scalar_dead_ports(self, seed):
@@ -181,15 +194,14 @@ class TestPeriodogramBatch:
         batch = spatial_periodogram_batch(z, valid, liveness=live)
         for w in range(z.shape[0]):
             np.testing.assert_allclose(
-                batch[w], spatial_periodogram(z[w], valid[w], liveness=live),
-                rtol=RTOL,
+                batch[w], reference.periodogram(z[w], valid[w], live), rtol=RTOL
             )
 
     def test_matches_scalar_without_mask(self):
         z, _, _ = random_dwells(2)
         batch = spatial_periodogram_batch(z)
         for w in range(z.shape[0]):
-            np.testing.assert_allclose(batch[w], spatial_periodogram(z[w]), rtol=RTOL)
+            np.testing.assert_allclose(batch[w], reference.periodogram(z[w]), rtol=RTOL)
 
     def test_empty_stack(self):
         assert spatial_periodogram_batch(np.zeros((0, 4, 4), complex)).shape == (0, 4)
@@ -208,6 +220,9 @@ class TestPeriodogramBatch:
             spatial_periodogram_batch(
                 np.zeros((2, 3, 4), complex), np.ones((2, 3, 3), bool)
             )
+        # The batch-of-one adapter inherits the kernel's mask check.
+        with pytest.raises(ValueError):
+            spatial_periodogram(np.zeros((3, 4), complex), np.ones((3, 3), bool))
 
 
 class TestSteeringCache:

@@ -1,10 +1,12 @@
-"""Cross-window pooled featurisation: equality with the scalar path.
+"""Cross-window pooled featurisation: pooling never changes a window.
 
 The fleet-serving contract (DESIGN.md section 12): pooling many
 windows' DSP through one binning pass and one stacked MUSIC /
-periodogram batch must reproduce the per-window path *bit for bit* —
-the throughput study asserts identical decisions, and these tests pin
-the invariant at the feature level where a drift would originate.
+periodogram batch must reproduce each window's batch-of-one call *bit
+for bit* — the throughput study asserts identical decisions, and these
+tests pin the invariant at the feature level where a drift would
+originate.  ``test_pool_invariance.py`` sweeps the same property over
+random window mixes against the per-dwell reference.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.dsp import (
     uncalibrated,
 )
 from repro.dsp.features import M2AIFeaturizer
+from tests.dsp import reference
 
 
 def _time_windows(log, n_windows=3):
@@ -40,11 +43,11 @@ class TestBuildSnapshotsMany:
         for w, (log, psi) in enumerate(zip(logs, psis)):
             sets = build_snapshots_all(log, psi, n_frames=4)
             for k, snaps in enumerate(sets):
-                np.testing.assert_array_equal(z[w, k], snaps.z)
-                np.testing.assert_array_equal(valid[w, k], snaps.valid)
-                np.testing.assert_array_equal(
-                    wavelength[w, k], snaps.wavelength_m
-                )
+                ref_z, ref_valid, ref_wl = reference.snapshots(log, psi, k, 4)
+                np.testing.assert_array_equal(z[w, k], ref_z)
+                np.testing.assert_array_equal(valid[w, k], ref_valid)
+                np.testing.assert_allclose(wavelength[w, k], ref_wl, rtol=1e-12)
+                np.testing.assert_array_equal(snaps.z, z[w, k])
                 np.testing.assert_array_equal(
                     frame_time[w], snaps.frame_time_s
                 )
@@ -89,7 +92,7 @@ class TestBuildSpectrumFramesMany:
                 one.meta["antenna_liveness"],
             )
 
-    def test_dead_port_window_takes_scalar_path(self, small_log):
+    def test_dead_port_window_pooled_with_healthy(self, small_log):
         dead = small_log.select(small_log.antenna != 2)
         windows = [
             (small_log, uncalibrated(small_log), 4),
