@@ -1,11 +1,9 @@
 """Ablation bench: training-time augmentation on vs off."""
 
-from repro.eval import run_ext_augmentation
-
 
 def test_ext_augmentation_ablation(run_experiment):
-    result = run_experiment(run_ext_augmentation)
-    measured = result.measured_by_name()
+    record = run_experiment("ext-augment")
+    measured = record.measured_by_name()
     # Both settings must train to something; the comparison itself is
     # the artifact (recorded in EXPERIMENTS.md).
     assert min(measured.values()) > 2.0 / 12.0

@@ -1,11 +1,9 @@
 """Extension: batched vs per-dwell DSP throughput (streaming hot path)."""
 
-from repro.eval import run_ext_batching
-
 
 def test_ext_batching_speedup(run_experiment):
-    result = run_experiment(run_ext_batching)
-    measured = result.measured_by_name()
+    record = run_experiment("ext-batching")
+    measured = record.measured_by_name()
     # The batched entry points must beat the per-dwell scalar loop they
     # replaced (the driver itself asserts rtol=1e-12 equivalence).
     assert measured["MUSIC speedup"] > 1.0

@@ -1,9 +1,7 @@
 """Extension (Section VII): area coverage scaling with antenna hubs."""
 
-from repro.eval import run_ext_hub_coverage
-
 
 def test_ext_hub_coverage(run_experiment):
-    result = run_experiment(run_ext_hub_coverage)
-    measured = result.measured_by_name()
+    record = run_experiment("ext-hub")
+    measured = record.measured_by_name()
     assert measured["4 array(s)"] > measured["2 array(s)"] > measured["1 array(s)"]

@@ -1,10 +1,8 @@
 """Extension: per-window serving latency (the paper's real-time claim)."""
 
-from repro.eval import run_ext_realtime
-
 
 def test_ext_realtime_margin(run_experiment):
-    result = run_experiment(run_ext_realtime)
-    measured = result.measured_by_name()
+    record = run_experiment("ext-realtime")
+    measured = record.measured_by_name()
     # Preprocessing + inference must fit inside one observation window.
     assert measured["real-time margin (window / total)"] > 1.0

@@ -1,12 +1,11 @@
 """Extension: the fault sweep served through the supervised runtime."""
 
-from repro.eval import run_ext_resilience
 from repro.eval.robustness import DEFAULT_FAULT_KINDS, DEFAULT_SEVERITIES
 
 
 def test_ext_resilience_supervised_sweep(run_experiment):
-    result = run_experiment(run_ext_resilience)
-    measured = result.measured_by_name()
+    record = run_experiment("ext-resilience")
+    measured = record.measured_by_name()
 
     # Full kind x severity grid, with decided-rate and throughput rows.
     for kind in DEFAULT_FAULT_KINDS:

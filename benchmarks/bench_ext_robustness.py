@@ -2,13 +2,12 @@
 
 import numpy as np
 
-from repro.eval import run_ext_robustness
 from repro.eval.robustness import DEFAULT_FAULT_KINDS, DEFAULT_SEVERITIES
 
 
 def test_ext_robustness_degradation(run_experiment):
-    result = run_experiment(run_ext_robustness)
-    measured = result.measured_by_name()
+    record = run_experiment("ext-robustness")
+    measured = record.measured_by_name()
 
     # The sweep must cover the full kind x severity grid (>= 4 kinds).
     assert len(DEFAULT_FAULT_KINDS) >= 4

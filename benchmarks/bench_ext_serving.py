@@ -1,7 +1,5 @@
 """Extension: multi-tenant fleet serving (batching speedup + isolation)."""
 
-from repro.eval import run_ext_serving
-
 from repro.eval.serving import (
     BATCH_SPEEDUP_FLOOR,
     HEALTHY_UNCHANGED_FLOOR,
@@ -11,8 +9,8 @@ from repro.eval.serving import (
 
 
 def test_ext_serving_contracts(run_experiment):
-    result = run_experiment(run_ext_serving)
-    measured = result.measured_by_name()
+    record = run_experiment("ext-serving")
+    measured = record.measured_by_name()
     # The driver already raises on a violated contract; re-assert the
     # headline numbers here so the bench output records them.
     assert measured[f"{MAX_STREAMS} streams speedup"] >= BATCH_SPEEDUP_FLOOR

@@ -5,12 +5,10 @@ pseudospectrum is stable, while a moving person attenuates the blocked
 path and shifts the others.
 """
 
-from repro.eval import run_fig02
-
 
 def test_fig02_aoa_scenarios(run_experiment):
-    result = run_experiment(run_fig02)
-    measured = result.measured_by_name()
+    record = run_experiment("fig02")
+    measured = record.measured_by_name()
     # A stationary tag holds its dominant peak within a few degrees...
     assert measured["stationary: top-peak angle std (deg)"] < 10.0
     # ...while a walking blocker swings the peak power by many dB.

@@ -1,10 +1,8 @@
 """Fig. 3: per-channel phase offsets of a stationary tag are linear in
 the carrier frequency — the structure Eq. 1 calibration exploits."""
 
-from repro.eval import run_fig03
-
 
 def test_fig03_phase_hopping(run_experiment):
-    result = run_experiment(run_fig03)
-    measured = result.measured_by_name()
+    record = run_experiment("fig03")
+    measured = record.measured_by_name()
     assert measured["phase-frequency linearity R^2"] > 0.9

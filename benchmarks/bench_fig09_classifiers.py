@@ -4,12 +4,10 @@ The paper's headline: the CNN+LSTM engine on calibrated
 pseudospectrum+periodogram frames beats every classical baseline
 (by 27 points over the linear-SVM runner-up at hardware scale)."""
 
-from repro.eval import run_fig09
-
 
 def test_fig09_classifier_comparison(run_experiment):
-    result = run_experiment(run_fig09)
-    measured = result.measured_by_name()
+    record = run_experiment("fig09")
+    measured = record.measured_by_name()
     m2ai = measured.pop("M2AI")
     # Shape check: M2AI leads the ladder (a small tolerance absorbs the
     # benchmark suite's trimmed training budget; the EXPERIMENTS.md run

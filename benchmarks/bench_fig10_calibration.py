@@ -1,12 +1,10 @@
 """Fig. 10: phase calibration is make-or-break (97% vs 52% in the
 paper).  The same recordings are featurised with and without Eq. 1."""
 
-from repro.eval import run_fig10
-
 
 def test_fig10_phase_calibration(run_experiment):
-    result = run_experiment(run_fig10)
-    measured = result.measured_by_name()
+    record = run_experiment("fig10")
+    measured = record.measured_by_name()
     # Shape check: calibration never hurts.  The paper's 45-point gap is
     # data-scale dependent (amplitude features survive phase scrambling
     # and saturate small-corpus accuracy — see EXPERIMENTS.md), so at

@@ -1,10 +1,8 @@
 """Fig. 11: accuracy vs the number of simultaneously acting people."""
 
-from repro.eval import run_fig11
-
 
 def test_fig11_number_of_objects(run_experiment):
-    result = run_experiment(run_fig11)
-    measured = result.measured_by_name()
+    record = run_experiment("fig11")
+    measured = record.measured_by_name()
     # Shape check: one person is no harder than three.
     assert measured["1 object(s)"] >= measured["3 object(s)"] - 0.1

@@ -3,11 +3,9 @@
 The paper finds the two environments perform within a couple of points
 of each other — multipath is an asset, not an obstacle, for M2AI."""
 
-from repro.eval import run_fig12
-
 
 def test_fig12_environments(run_experiment):
-    result = run_experiment(run_fig12)
-    measured = result.measured_by_name()
+    record = run_experiment("fig12")
+    measured = record.measured_by_name()
     # Shape check: no environment collapses.
     assert min(measured.values()) > 2.0 / 12.0

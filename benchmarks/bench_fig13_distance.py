@@ -3,11 +3,9 @@
 The paper reports no clear correlation between distance and accuracy
 inside the harvest range."""
 
-from repro.eval import run_fig13
-
 
 def test_fig13_distance(run_experiment):
-    result = run_experiment(run_fig13)
-    values = list(result.measured_by_name().values())
+    record = run_experiment("fig13")
+    values = list(record.measured_by_name().values())
     # Shape check: every distance works (no collapse inside 4 m).
     assert min(values) > 2.0 / 12.0

@@ -2,12 +2,10 @@
 periodogram input beats MUSIC-only, FFT-only, raw-phase and RSSI
 featurisations of the *same* recordings."""
 
-from repro.eval import run_fig16
-
 
 def test_fig16_preprocessing_inputs(run_experiment):
-    result = run_experiment(run_fig16)
-    measured = result.measured_by_name()
+    record = run_experiment("fig16")
+    measured = record.measured_by_name()
     # Shape check: the full M2AI preprocessing is at least as good as
     # the coarse featurisations the paper shows losing badly.
     assert measured["M2AI"] >= measured["RSSI-based"]

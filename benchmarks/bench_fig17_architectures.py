@@ -1,12 +1,10 @@
 """Fig. 17: learning-architecture ablation — the combined CNN+LSTM
 against CNN-only and LSTM-only on the same dataset."""
 
-from repro.eval import run_fig17
-
 
 def test_fig17_architectures(run_experiment):
-    result = run_experiment(run_fig17)
-    measured = result.measured_by_name()
+    record = run_experiment("fig17")
+    measured = record.measured_by_name()
     full = measured["M2AI (CNN+LSTM)"]
     # Shape check: the combined architecture is competitive with or
     # better than both ablations (the paper reports +30/+25 points at

@@ -9,13 +9,13 @@ readers; any driver output must be read-after-write.
 
 import json
 
-from repro.obs import profile
+from repro.experiments.__main__ import main
 
 
 def test_obs_profile_identify_margin(tmp_path, capsys):
     out = tmp_path / "BENCH_obs_realtime.json"
-    rc = profile.main(
-        ["--quick", "--seed", "0", "--repeat", "1", "--out", str(out)]
+    rc = main(
+        ["bench", "obs_realtime", "--seed", "0", "--repeat", "1", "--out", str(out)]
     )
     assert rc == 0
 

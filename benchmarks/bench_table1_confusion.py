@@ -1,11 +1,9 @@
 """Table I: the per-class confusion matrix of the trained M2AI."""
 
-from repro.eval import run_table1
-
 
 def test_table1_confusion_matrix(run_experiment):
-    result = run_experiment(run_table1)
-    measured = result.measured_by_name()
+    record = run_experiment("table1")
+    measured = record.measured_by_name()
     # Paper: >= 93% per class at hardware scale.  On the simulated
     # substrate we require every class to be far above 12-way chance
     # on average.

@@ -1,63 +1,44 @@
 """Benchmark harness plumbing.
 
-Every benchmark regenerates one paper table/figure through the
-experiment drivers in :mod:`repro.eval` and prints the paper-vs-
-measured comparison.  Corpora are cached on disk (``.repro_cache/``),
-so a prior ``python scripts/run_experiments.py`` run makes the suite
-much faster; the model training inside each benchmark always runs for
-real and is what the timing measures.
+Every benchmark regenerates one paper table/figure as a registry cell:
+the ``run_experiment`` fixture runs
+``run_one(make_spec(exp_id, "quick", 0, train_overrides={"epochs": 15}))``
+once under pytest-benchmark, publishes the record to the durable
+results store (the one ``python -m repro.experiments run`` fills; the
+15-epoch budget is part of the key, so these records never stand in
+for untrimmed ones), prints its block and returns the
+:class:`~repro.experiments.ResultRecord`.  Benchmarks assert on
+``record.measured_by_name()``.
 
-Each result is also recorded into the experiment state file (without
-overwriting entries from a dedicated ``run_experiments.py`` run, which
-uses a larger training budget), so ``EXPERIMENTS.md`` can be rebuilt
-from whatever has been measured most recently.
+Corpora are cached on disk (``.repro_cache/``), so a prior
+``python -m repro.experiments run`` makes the suite much faster; the
+model training inside each benchmark always runs for real and is what
+the timing measures.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import pytest
 
-# Benchmarks measure end-to-end regeneration; a trimmed training budget
-# keeps the full suite in minutes.  EXPERIMENTS.md prefers results from
-# the untrimmed scripts/run_experiments.py runs where available.
-os.environ.setdefault("REPRO_BENCH_EPOCHS", "15")
+from repro.experiments import ResultsStore, make_spec, run_one
 
-_REPO = Path(__file__).resolve().parents[1]
-_STATE = _REPO / ".repro_cache" / "experiment_state.json"
-
-
-def _record(result) -> None:
-    try:
-        state = json.loads(_STATE.read_text()) if _STATE.exists() else {}
-    except (OSError, json.JSONDecodeError):
-        state = {}
-    if result.experiment_id in state:
-        return  # keep the dedicated run's (higher-budget) record
-    block = result.render() + (
-        "\n\n(recorded by the benchmark suite, trimmed training budget "
-        f"REPRO_BENCH_EPOCHS={os.environ.get('REPRO_BENCH_EPOCHS')})\n"
-    )
-    state[result.experiment_id] = block
-    _STATE.parent.mkdir(exist_ok=True)
-    _STATE.write_text(json.dumps(state))
+BENCH_EPOCHS = 15
+"""Training budget of the benchmark suite: keeps a full pass in minutes."""
 
 
 @pytest.fixture
 def run_experiment(benchmark, capsys):
-    """Run an experiment driver once under pytest-benchmark and print it."""
+    """Run one registry cell under pytest-benchmark, store and print it."""
 
-    def runner(fn, **kwargs):
-        result = benchmark.pedantic(
-            lambda: fn(**kwargs), rounds=1, iterations=1, warmup_rounds=0
+    def runner(exp_id: str):
+        spec = make_spec(exp_id, "quick", 0, train_overrides={"epochs": BENCH_EPOCHS})
+        record = benchmark.pedantic(
+            lambda: run_one(spec), rounds=1, iterations=1, warmup_rounds=0
         )
+        ResultsStore().put(record)
         with capsys.disabled():
             print()
-            print(result.render())
-        _record(result)
-        return result
+            print(record.block)
+        return record
 
     return runner

@@ -1,7 +1,6 @@
 """Experiment drivers reproducing every paper table and figure."""
 
 from repro.eval.experiments import (
-    EXPERIMENTS,
     run_fig09,
     run_fig10,
     run_fig11,
@@ -22,12 +21,11 @@ from repro.eval.harness import (
     train_eval_m2ai,
 )
 from repro.eval.extensions import (
-    EXTENSIONS,
+    run_domain_shift,
     run_ext_augmentation,
     run_ext_batching,
     run_ext_hub_coverage,
     run_ext_realtime,
-    run_ext_transfer,
 )
 from repro.eval.reporting import ExperimentResult, ExperimentRow, bar_chart
 from repro.eval.resilience import (
@@ -48,15 +46,32 @@ from repro.eval.signal_studies import run_fig02, run_fig03
 ALL_EXPERIMENTS = {
     "fig02": run_fig02,
     "fig03": run_fig03,
-    **EXPERIMENTS,
-    **EXTENSIONS,
+    "fig09": run_fig09,
+    "table1": run_table1,
+    "fig10": run_fig10,
+    "fig11": run_fig11,
+    "fig12": run_fig12,
+    "fig13": run_fig13,
+    "fig14": run_fig14,
+    "fig15": run_fig15,
+    "fig16": run_fig16,
+    "fig17": run_fig17,
+    "ext-hub": run_ext_hub_coverage,
+    "ext-augment": run_ext_augmentation,
+    "ext-realtime": run_ext_realtime,
+    "ext-robustness": run_ext_robustness,
+    "ext-batching": run_ext_batching,
+    "ext-resilience": run_ext_resilience,
+    "ext-serving": run_ext_serving,
+    "ext-domain-shift": run_domain_shift,
 }
-"""Every experiment driver (paper figures + Section VII extensions)."""
+"""The experiment registry: every driver (paper figures + Section VII
+extensions), keyed by id, in paper order.  Each takes
+``(quick, seed, epochs=None)`` plus its own sweep overrides and returns
+an :class:`ExperimentResult`."""
 
 __all__ = [
     "ALL_EXPERIMENTS",
-    "EXPERIMENTS",
-    "EXTENSIONS",
     "ExperimentResult",
     "ExperimentRow",
     "ResilienceCell",
@@ -72,6 +87,7 @@ __all__ = [
     "eval_baselines",
     "get_dataset",
     "get_raw_samples",
+    "run_domain_shift",
     "run_ext_augmentation",
     "run_ext_batching",
     "run_ext_hub_coverage",
@@ -79,7 +95,6 @@ __all__ = [
     "run_ext_resilience",
     "run_ext_robustness",
     "run_ext_serving",
-    "run_ext_transfer",
     "run_fig02",
     "run_fig03",
     "run_fig09",

@@ -4,7 +4,8 @@ Every driver returns an :class:`~repro.eval.reporting.ExperimentResult`
 whose rows pair the paper's reported value with ours.  ``quick=True``
 (the default) sizes the dataset and the training budget for minutes of
 wall-clock; ``quick=False`` runs at the scale recorded in
-EXPERIMENTS.md.
+EXPERIMENTS.md.  ``epochs`` caps the training budget (see
+:func:`repro.data.workloads.training`).
 
 Absolute accuracies are not expected to match a hardware testbed; the
 claims under test are the *shapes*: who wins, by roughly what factor,
@@ -15,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import M2AIConfig
-from repro.data.generator import GenerationConfig, vary
+from repro.data.workloads import generation, training
 from repro.dsp.features import (
     FftOnlyFeaturizer,
     M2AIFeaturizer,
@@ -33,46 +33,11 @@ from repro.eval.harness import (
 from repro.eval.reporting import ExperimentResult, ExperimentRow
 
 
-def _gen_config(quick: bool, seed: int, **overrides) -> GenerationConfig:
-    base = GenerationConfig(
-        samples_per_class=12 if quick else 24,
-        duration_s=6.0,
-        calibration_s=20.0,
-        seed=seed,
-    )
-    return vary(base, **overrides)
-
-
-def _train_config(quick: bool, seed: int) -> M2AIConfig:
-    import os
-
-    epochs = 40 if quick else 60
-    # The benchmark suite measures regeneration end-to-end; its training
-    # budget can be trimmed via this env var (set by benchmarks/conftest)
-    # so a full `pytest benchmarks/` pass stays within minutes.  The
-    # recorded EXPERIMENTS.md run uses the untrimmed budget.
-    override = os.environ.get("REPRO_BENCH_EPOCHS")
-    if override:
-        epochs = min(epochs, int(override))
-    return M2AIConfig(epochs=epochs, batch_size=16, seed=seed)
-
-
-def _sweep_config(quick: bool, seed: int, **overrides) -> GenerationConfig:
-    """Smaller per-setting datasets for the multi-dataset sweeps."""
-    base = GenerationConfig(
-        samples_per_class=6 if quick else 18,
-        duration_s=6.0,
-        calibration_s=20.0,
-        seed=seed,
-    )
-    return vary(base, **overrides)
-
-
 # ---------------------------------------------------------------------------
 # Fig. 9 / Table I / Fig. 10 — the headline comparison (shared corpus)
 
 
-def run_fig09(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_fig09(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Fig. 9: M2AI vs ten conventional classifiers.
 
     The headline comparison runs on a larger corpus than the ablation
@@ -81,9 +46,9 @@ def run_fig09(quick: bool = True, seed: int = 0) -> ExperimentResult:
     study), and at very small corpus sizes all methods converge to
     similar mediocrity.
     """
-    cfg = _gen_config(quick, seed, samples_per_class=20 if quick else 24)
+    cfg = generation(quick, seed, "headline")
     dataset = get_dataset(cfg)
-    m2ai, _pipe = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+    m2ai, _pipe = train_eval_m2ai(dataset, training(quick, seed, epochs), split_seed=seed)
     scores = eval_baselines(dataset, split_seed=seed)
     paper = {
         "M2AI": (0.97, False),
@@ -116,11 +81,11 @@ def run_fig09(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
-def run_table1(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_table1(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Table I: per-class confusion of the trained M2AI."""
-    cfg = _gen_config(quick, seed, samples_per_class=20 if quick else 24)
+    cfg = generation(quick, seed, "headline")
     dataset = get_dataset(cfg)
-    result, _pipe = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+    result, _pipe = train_eval_m2ai(dataset, training(quick, seed, epochs), split_seed=seed)
     diag = result.confusion.diagonal_accuracy()
     rows = [
         ExperimentRow("mean per-class accuracy", 0.966, float(diag.mean())),
@@ -135,7 +100,7 @@ def run_table1(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
-def run_fig10(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_fig10(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Fig. 10: impact of phase calibration (same recordings, re-featurised).
 
     The "without calibration" arm feeds the reader's *raw* phase output
@@ -145,11 +110,11 @@ def run_fig10(quick: bool = True, seed: int = 0) -> ExperimentResult:
     the paper's own no-calibration number (52%) is weak-feature level,
     not chance — RSSI and motion dynamics survive phase scrambling.
     """
-    cfg = _gen_config(quick, seed, samples_per_class=20 if quick else 24)
+    cfg = generation(quick, seed, "headline")
     with_cal = get_dataset(cfg, use_calibration=True)
     without_cal = get_dataset(cfg, use_calibration=False)
-    acc_cal, _ = train_eval_m2ai(with_cal, _train_config(quick, seed), split_seed=seed)
-    acc_raw, _ = train_eval_m2ai(without_cal, _train_config(quick, seed), split_seed=seed)
+    acc_cal, _ = train_eval_m2ai(with_cal, training(quick, seed, epochs), split_seed=seed)
+    acc_raw, _ = train_eval_m2ai(without_cal, training(quick, seed, epochs), split_seed=seed)
     return ExperimentResult(
         experiment_id="fig10",
         title="Impact of phase calibration",
@@ -176,7 +141,14 @@ def run_fig10(quick: bool = True, seed: int = 0) -> ExperimentResult:
 # Fig. 11-15 — parameter sweeps
 
 
-def run_fig11(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def _sweep_accuracy(quick: bool, seed: int, epochs: int | None, **overrides) -> float:
+    """Held-out M2AI accuracy on one sweep-sized corpus (one setting)."""
+    dataset = get_dataset(generation(quick, seed, "sweep", **overrides))
+    result, _ = train_eval_m2ai(dataset, training(quick, seed, epochs), split_seed=seed)
+    return result.accuracy
+
+
+def run_fig11(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Fig. 11: one, two, three simultaneous people.
 
     Scenario labels whose *first* person repeats another scenario's
@@ -191,13 +163,9 @@ def run_fig11(quick: bool = True, seed: int = 0) -> ExperimentResult:
     paper = {1: 0.97, 2: 0.90, 3: 0.80}
     rows = []
     for n_persons in (1, 2, 3):
-        cfg = _sweep_config(quick, seed, n_persons=n_persons, scenario_labels=labels)
-        dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+        acc = _sweep_accuracy(quick, seed, epochs, n_persons=n_persons, scenario_labels=labels)
         rows.append(
-            ExperimentRow(
-                f"{n_persons} object(s)", paper[n_persons], result.accuracy, approx=n_persons != 3
-            )
+            ExperimentRow(f"{n_persons} object(s)", paper[n_persons], acc, approx=n_persons != 3)
         )
     return ExperimentResult(
         experiment_id="fig11",
@@ -210,15 +178,13 @@ def run_fig11(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
-def run_fig12(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_fig12(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Fig. 12: laboratory (high multipath) vs hall (low multipath)."""
     rows = []
     paper = {"laboratory": 0.97, "hall": 0.95}
     for env in ("laboratory", "hall"):
-        cfg = _sweep_config(quick, seed, environment=env)
-        dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
-        rows.append(ExperimentRow(env, paper[env], result.accuracy))
+        acc = _sweep_accuracy(quick, seed, epochs, environment=env)
+        rows.append(ExperimentRow(env, paper[env], acc))
     gap = abs(rows[0].measured - rows[1].measured)
     return ExperimentResult(
         experiment_id="fig12",
@@ -231,14 +197,12 @@ def run_fig12(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
-def run_fig13(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_fig13(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Fig. 13: reader-to-person distance 1-4 m."""
     rows = []
     for distance in (1.0, 2.0, 3.0, 4.0):
-        cfg = _sweep_config(quick, seed, distance_m=distance)
-        dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
-        rows.append(ExperimentRow(f"{distance:.0f} m", None, result.accuracy))
+        acc = _sweep_accuracy(quick, seed, epochs, distance_m=distance)
+        rows.append(ExperimentRow(f"{distance:.0f} m", None, acc))
     values = [r.measured for r in rows]
     spread = max(values) - min(values)
     corr = float(np.corrcoef(np.arange(len(values)), values)[0, 1])
@@ -254,21 +218,14 @@ def run_fig13(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
-def run_fig14(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_fig14(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Fig. 14: 2, 3, 4 reader antennas."""
     paper = {2: 0.60, 3: 0.80, 4: 0.97}
     rows = []
     for n_antennas in (2, 3, 4):
-        cfg = _sweep_config(quick, seed, n_antennas=n_antennas)
-        dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+        acc = _sweep_accuracy(quick, seed, epochs, n_antennas=n_antennas)
         rows.append(
-            ExperimentRow(
-                f"{n_antennas} antennas",
-                paper[n_antennas],
-                result.accuracy,
-                approx=n_antennas != 4,
-            )
+            ExperimentRow(f"{n_antennas} antennas", paper[n_antennas], acc, approx=n_antennas != 4)
         )
     increasing = rows[0].measured <= rows[-1].measured
     return ExperimentResult(
@@ -280,19 +237,13 @@ def run_fig14(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
-def run_fig15(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_fig15(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Fig. 15: 1, 2, 3 tags per person."""
     paper = {1: 0.70, 2: 0.85, 3: 0.97}
     rows = []
     for tags in (1, 2, 3):
-        cfg = _sweep_config(quick, seed, tags_per_person=tags)
-        dataset = get_dataset(cfg)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
-        rows.append(
-            ExperimentRow(
-                f"{tags} tag(s)/person", paper[tags], result.accuracy, approx=tags != 3
-            )
-        )
+        acc = _sweep_accuracy(quick, seed, epochs, tags_per_person=tags)
+        rows.append(ExperimentRow(f"{tags} tag(s)/person", paper[tags], acc, approx=tags != 3))
     increasing = rows[0].measured <= rows[-1].measured
     return ExperimentResult(
         experiment_id="fig15",
@@ -307,9 +258,9 @@ def run_fig15(quick: bool = True, seed: int = 0) -> ExperimentResult:
 # Fig. 16 / Fig. 17 — preprocessing and architecture ablations
 
 
-def run_fig16(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_fig16(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Fig. 16: featuriser ablation over the same recordings."""
-    cfg = _gen_config(quick, seed)
+    cfg = generation(quick, seed)
     raw = get_raw_samples(cfg)
     from repro.data.generator import SyntheticDatasetGenerator
 
@@ -324,7 +275,7 @@ def run_fig16(quick: bool = True, seed: int = 0) -> ExperimentResult:
     rows = []
     for name, featurizer, paper, approx in featurizers:
         dataset = generator.featurize(raw, featurizer=featurizer)
-        result, _ = train_eval_m2ai(dataset, _train_config(quick, seed), split_seed=seed)
+        result, _ = train_eval_m2ai(dataset, training(quick, seed, epochs), split_seed=seed)
         rows.append(ExperimentRow(name, paper, result.accuracy, approx=approx))
     best = max(rows, key=lambda r: r.measured)
     return ExperimentResult(
@@ -336,7 +287,7 @@ def run_fig16(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
-def run_fig17(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_fig17(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Fig. 17: CNN+LSTM vs CNN-only vs LSTM-only.
 
     Runs on the Fig. 9 corpus: the architecture ordering is the most
@@ -345,14 +296,14 @@ def run_fig17(quick: bool = True, seed: int = 0) -> ExperimentResult:
     and at very small corpus sizes temporal mean-pooling ("CNN only")
     generalises better.
     """
-    cfg = _gen_config(quick, seed, samples_per_class=20 if quick else 24)
+    cfg = generation(quick, seed, "headline")
     dataset = get_dataset(cfg)
     rows = []
     paper = {"cnn_lstm": (0.97, False), "cnn": (0.67, True), "lstm": (0.72, True)}
     label = {"cnn_lstm": "M2AI (CNN+LSTM)", "cnn": "CNN only", "lstm": "LSTM only"}
     for mode in ("cnn_lstm", "cnn", "lstm"):
         result, _ = train_eval_m2ai(
-            dataset, _train_config(quick, seed), mode=mode, split_seed=seed
+            dataset, training(quick, seed, epochs), mode=mode, split_seed=seed
         )
         value, approx = paper[mode]
         rows.append(ExperimentRow(label[mode], value, result.accuracy, approx=approx))
@@ -374,18 +325,3 @@ def run_fig17(quick: bool = True, seed: int = 0) -> ExperimentResult:
         ),
     )
 
-
-EXPERIMENTS = {
-    "fig09": run_fig09,
-    "table1": run_table1,
-    "fig10": run_fig10,
-    "fig11": run_fig11,
-    "fig12": run_fig12,
-    "fig13": run_fig13,
-    "fig14": run_fig14,
-    "fig15": run_fig15,
-    "fig16": run_fig16,
-    "fig17": run_fig17,
-}
-"""Learning-based experiments, keyed by paper id (fig02/fig03 live in
-:mod:`repro.eval.signal_studies`)."""

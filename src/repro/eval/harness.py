@@ -9,7 +9,11 @@ collected dataset.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from repro.core.config import M2AIConfig
 from repro.core.dataset import ActivityDataset
 from repro.core.pipeline import EvaluationResult, M2AIPipeline, baseline_arrays
 from repro.data.generator import GenerationConfig, RawSample, SyntheticDatasetGenerator
+from repro.data.workloads import COMPACT_LABELS, generation, training
 from repro.ml import (
     AdaBoostClassifier,
     DecisionTreeClassifier,
@@ -32,7 +37,10 @@ from repro.ml import (
 
 _RAW_CACHE: dict[GenerationConfig, list[RawSample]] = {}
 
-_CACHE_VERSION = "v1"
+_REPRO_ROOT = Path(__file__).resolve().parents[1]
+
+_SIMULATOR_PACKAGES = ("channel", "hardware", "motion", "data")
+"""Packages whose source decides what a cached corpus contains."""
 
 
 def _disk_cache_dir() -> "Path | None":
@@ -43,7 +51,6 @@ def _disk_cache_dir() -> "Path | None":
     string to disable disk caching entirely.
     """
     import os
-    from pathlib import Path
 
     value = os.environ.get("REPRO_CACHE_DIR")
     if value == "":
@@ -53,11 +60,25 @@ def _disk_cache_dir() -> "Path | None":
     return Path(__file__).resolve().parents[3] / ".repro_cache"
 
 
-def _cache_key(config: GenerationConfig) -> str:
-    import hashlib
+@functools.lru_cache(maxsize=None)
+def _source_fingerprint(root: Path) -> str:
+    """Content hash of the simulator's ``.py`` files under ``root``.
 
+    Computed once per process and root: editing the simulator changes
+    the corpus cache key, so a stale pickle is never served.
+    """
+    digest = hashlib.sha256()
+    for package in _SIMULATOR_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def _cache_key(config: GenerationConfig) -> str:
+    """Disk-cache key: simulator source fingerprint plus the config."""
     return hashlib.sha256(
-        f"{_CACHE_VERSION}|{config!r}".encode()
+        f"{_source_fingerprint(_REPRO_ROOT)}|{config!r}".encode()
     ).hexdigest()[:24]
 
 
@@ -259,3 +280,36 @@ def eval_baselines(
         hmm.fit(seq_train, y_train)
         scores["HMM"] = hmm.score(seq_test, y_test)
     return scores
+
+
+def fit_compact_task(
+    quick: bool, seed: int, epochs: "int | None" = None, **model_overrides
+) -> tuple[M2AIPipeline, list[RawSample], float]:
+    """The compact 4-class serving task shared by the runtime studies.
+
+    Simulates :data:`~repro.data.workloads.COMPACT_LABELS`, holds out a
+    seeded 25% of the recordings (at least four), featurises the rest
+    and fits the ``compact`` training preset on them.
+
+    Args:
+        quick: quick or full preset sizes.
+        seed: corpus, split and training seed.
+        epochs: optional training-budget cap.
+        **model_overrides: architecture fields for the fitted model.
+
+    Returns:
+        ``(pipeline, held_out_recordings, fit_s)`` where ``fit_s`` is
+        the wall-clock of building and fitting the pipeline.
+    """
+    cfg = generation(quick, seed, "compact", scenario_labels=COMPACT_LABELS)
+    raw = get_raw_samples(cfg)
+    order = np.random.default_rng(seed).permutation(len(raw))
+    n_test = max(4, int(0.25 * len(raw)))
+    test_idx, train_idx = order[:n_test], order[n_test:]
+    train_ds = SyntheticDatasetGenerator(cfg).featurize([raw[i] for i in train_idx])
+    t0 = time.perf_counter()
+    pipeline = M2AIPipeline(
+        training(quick, seed, epochs, "compact", **model_overrides)
+    )
+    pipeline.fit(train_ds)
+    return pipeline, [raw[i] for i in test_idx], time.perf_counter() - t0

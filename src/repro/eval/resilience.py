@@ -16,9 +16,9 @@ behaviour — plus two focused studies:
   closed cycle on an injected fake clock (no sleeping), with the
   transitions recorded in the metrics registry.
 
-Run as a module to produce the benchmark artifact::
+Run it through the experiment CLI to produce the benchmark artifact::
 
-    PYTHONPATH=src python -m repro.eval.resilience --quick
+    PYTHONPATH=src python -m repro.experiments bench ext_resilience
 
 which writes ``BENCH_ext_resilience.json``.  The contract asserted by
 the artifact: the *entire* sweep completes with zero uncaught
@@ -35,14 +35,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.core.streaming import StreamingIdentifier, split_windows
-from repro.dsp.calibration import PhaseCalibrator
+from repro.eval.harness import fit_compact_task
 from repro.eval.reporting import ExperimentResult, ExperimentRow
 from repro.eval.robustness import (
     DEFAULT_FAULT_KINDS,
     DEFAULT_SEVERITIES,
     _clean_calibrator,
+    count_decisions,
+    faulted_recording,
+    sweep_grid,
 )
-from repro.faults import FaultSpec, apply_faults
+from repro.faults import FaultSpec
 from repro.runtime import (
     PipelineSupervisor,
     RetryExhaustedError,
@@ -106,40 +109,17 @@ def supervised_serve(
     """
     supervisor = PipelineSupervisor(identifier)
     spec = FaultSpec(kind=kind, severity=severity)
-    correct = decided = abstained = total = uncaught = 0
+    served = []
+    uncaught = 0
     t0 = time.perf_counter()
     for i, raw in enumerate(raw_samples):
-        sample_seed = seed * 100_003 + i
-        if kind == "calibration_gap" and severity > 0.0:
-            cal_log = apply_faults(raw.calibration_log, [spec], seed=sample_seed)
-            log = raw.log
-            try:
-                calibrator = PhaseCalibrator.fit(cal_log)
-            except ValueError:  # bootstrap wiped out entirely
-                calibrator = None
-        else:
-            log = apply_faults(raw.log, [spec], seed=sample_seed)
-            calibrator = _clean_calibrator(raw)
-        identifier.calibrator = calibrator
+        log, identifier.calibrator = faulted_recording(raw, spec, seed * 100_003 + i)
         try:
-            decisions = supervisor.process(log)
+            served.append((supervisor.process(log), raw.label))
         except Exception:  # the supervisor contract says: never
             uncaught += 1
-            continue
-        if not decisions:
-            # Log too degraded to hold one complete window: count the
-            # recording as an abstention, matching the robustness sweep.
-            abstained += 1
-            total += 1
-            continue
-        for decision in decisions:
-            total += 1
-            if decision.abstained:
-                abstained += 1
-            else:
-                decided += 1
-                correct += int(decision.label == raw.label)
     elapsed = time.perf_counter() - t0
+    correct, decided, abstained, total = count_decisions(served)
     health = supervisor.health()
     return ResilienceCell(
         kind=kind,
@@ -163,7 +143,7 @@ def resilience_sweep(
     severities: tuple[float, ...] = DEFAULT_SEVERITIES,
     seed: int = 0,
 ) -> list[ResilienceCell]:
-    """The full PR 1 fault sweep, served through the supervisor.
+    """The robustness fault sweep, served through the supervisor.
 
     Severity zero reuses one shared clean pass (the injectors are
     exact no-ops there), matching the robustness sweep's protocol.
@@ -171,23 +151,11 @@ def resilience_sweep(
     Returns:
         One :class:`ResilienceCell` per (kind, severity).
     """
-    cells: list[ResilienceCell] = []
-    clean: ResilienceCell | None = None
-    for kind in kinds:
-        for severity in severities:
-            if severity == 0.0:
-                if clean is None:
-                    clean = supervised_serve(
-                        identifier, raw_samples, kind, 0.0, seed
-                    )
-                cells.append(
-                    ResilienceCell(**{**asdict(clean), "kind": kind})
-                )
-                continue
-            cells.append(
-                supervised_serve(identifier, raw_samples, kind, severity, seed)
-            )
-    return cells
+    return sweep_grid(
+        lambda kind, severity: supervised_serve(identifier, raw_samples, kind, severity, seed),
+        kinds,
+        severities,
+    )
 
 
 class _FlakyInference:
@@ -351,58 +319,30 @@ def breaker_cycle_study(
     }
 
 
-def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
-    """Build the workload and produce the full benchmark document.
+def run_resilience_bench(
+    quick: bool = True, seed: int = 0, epochs: int | None = None
+) -> dict:
+    """Build the workload and produce the benchmark document body.
 
-    Trains the same compact 4-class pipeline as the robustness driver,
-    then runs the supervised fault sweep, the transport study, and the
-    breaker-cycle study with observability enabled, and assembles the
-    ``BENCH_ext_resilience.json`` content (including the metrics
-    registry snapshot as evidence of breaker transitions and retry
-    counts).
+    Trains the compact 4-class pipeline
+    (:func:`~repro.eval.harness.fit_compact_task`), then runs the
+    supervised fault sweep, the transport study, and the breaker-cycle
+    study with observability enabled, and assembles the
+    ``BENCH_ext_resilience.json`` body (including the metrics registry
+    snapshot as evidence of breaker transitions and retry counts).
 
     Raises:
         RuntimeError: when the sweep saw an uncaught exception or the
             breaker cycle did not complete — the artifact must not be
             written from a run that violated the supervision contract.
     """
-    import os
-
     from repro import obs
-    from repro.core.config import M2AIConfig
-    from repro.core.pipeline import M2AIPipeline
-    from repro.data.generator import GenerationConfig, SyntheticDatasetGenerator
-    from repro.eval.harness import get_raw_samples
 
-    cfg = GenerationConfig(
-        scenario_labels=("A01", "A03", "A07", "A11"),
-        samples_per_class=6 if quick else 12,
-        duration_s=6.0,
-        calibration_s=20.0,
-        seed=seed,
-    )
-    raw = get_raw_samples(cfg)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(raw))
-    n_test = max(4, int(0.25 * len(raw)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    generator = SyntheticDatasetGenerator(cfg)
-    train_ds = generator.featurize([raw[i] for i in train_idx])
-
-    epochs = 25 if quick else 45
-    override = os.environ.get("REPRO_BENCH_EPOCHS")
-    if override:
-        epochs = min(epochs, int(override))
-    t_setup = time.perf_counter()
-    pipeline = M2AIPipeline(M2AIConfig(epochs=epochs, batch_size=8, seed=seed))
-    pipeline.fit(train_ds)
-    setup_s = time.perf_counter() - t_setup
-
-    dwell = raw[0].log.meta.dwell_s
+    pipeline, test_raws, setup_s = fit_compact_task(quick, seed, epochs)
+    dwell = test_raws[0].log.meta.dwell_s
     identifier = StreamingIdentifier(
-        pipeline, window_s=raw[0].n_frames * dwell, min_reads=32
+        pipeline, window_s=test_raws[0].n_frames * dwell, min_reads=32
     )
-    test_raws = [raw[i] for i in test_idx]
 
     obs.enable()
     obs.reset()
@@ -438,11 +378,8 @@ def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
             c_doc["accuracy"] = None  # strict-JSON-safe "all abstained"
         cell_docs.append(c_doc)
     return {
-        "schema": "repro.runtime.bench.v1",
-        "quick": bool(quick),
-        "seed": int(seed),
         "setup_s": round(setup_s, 3),
-        "epochs": int(epochs),
+        "epochs": int(pipeline.config.epochs),
         "n_test_recordings": len(test_raws),
         "zero_uncaught_exceptions": True,
         "clean_throughput_w_per_s": clean.throughput_w_per_s,
@@ -453,7 +390,9 @@ def run_resilience_bench(quick: bool = True, seed: int = 0) -> dict:
     }
 
 
-def run_ext_resilience(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_ext_resilience(
+    quick: bool = True, seed: int = 0, epochs: int | None = None
+) -> ExperimentResult:
     """Supervised-runtime resilience: the fault sweep that cannot crash.
 
     The extension-study entry point (``ext-resilience``): runs
@@ -461,42 +400,20 @@ def run_ext_resilience(quick: bool = True, seed: int = 0) -> ExperimentResult:
     recovered-throughput rows per fault cell plus the transport and
     breaker-cycle outcomes.
     """
-    doc = run_resilience_bench(quick=quick, seed=seed)
+    doc = run_resilience_bench(quick=quick, seed=seed, epochs=epochs)
     rows = []
     for cell in doc["cells"]:
+        label = f"{cell['kind']} s={cell['severity']:.1f}"
         decided_rate = cell["decided"] / max(cell["n_windows"], 1)
+        rows.append(ExperimentRow(f"{label} decided", None, decided_rate, unit="rate"))
         rows.append(
-            ExperimentRow(
-                f"{cell['kind']} s={cell['severity']:.1f} decided",
-                None,
-                decided_rate,
-                unit="rate",
-            )
-        )
-        rows.append(
-            ExperimentRow(
-                f"{cell['kind']} s={cell['severity']:.1f} throughput",
-                None,
-                cell["throughput_w_per_s"],
-                unit="w/s",
-            )
+            ExperimentRow(f"{label} throughput", None, cell["throughput_w_per_s"], unit="w/s")
         )
     transport = doc["transport"]
-    rows.append(
-        ExperimentRow(
-            "transport s=0.9 delivered rate",
-            None,
-            transport["windows_delivered"] / max(transport["windows_offered"], 1),
-            unit="rate",
-        )
-    )
-    rows.append(
-        ExperimentRow(
-            "breaker full cycle observed",
-            None,
-            1.0 if doc["breaker_cycle"]["full_cycle_observed"] else 0.0,
-        )
-    )
+    delivered = transport["windows_delivered"] / max(transport["windows_offered"], 1)
+    full_cycle = 1.0 if doc["breaker_cycle"]["full_cycle_observed"] else 0.0
+    rows.append(ExperimentRow("transport s=0.9 delivered rate", None, delivered, unit="rate"))
+    rows.append(ExperimentRow("breaker full cycle observed", None, full_cycle))
     return ExperimentResult(
         experiment_id="ext-resilience",
         title="Supervised runtime: fault sweep through the supervisor",
@@ -516,57 +433,27 @@ def run_ext_resilience(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the bench and write the JSON artifact."""
-    import argparse
-    import sys
-    from pathlib import Path
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.eval.resilience",
-        description="Fault sweep through the supervised runtime.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="CI-sized workload (smaller, faster)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path("BENCH_ext_resilience.json"),
-        help="artifact path (default: BENCH_ext_resilience.json)",
-    )
-    args = parser.parse_args(argv)
-
-    doc = run_resilience_bench(quick=args.quick, seed=args.seed)
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-
-    out = sys.stdout.write
-    out(f"wrote {args.out}\n")
-    out(
+def bench_summary(doc: dict) -> str:
+    """The bench's stdout summary: one line per cell, transport, breaker."""
+    lines = [
         f"{'fault':<18}{'sev':>5}{'windows':>9}{'decided':>9}"
-        f"{'abstain':>9}{'dead':>6}{'w/s':>8}\n"
-    )
+        f"{'abstain':>9}{'dead':>6}{'w/s':>8}"
+    ]
     for cell in doc["cells"]:
-        out(
+        lines.append(
             f"{cell['kind']:<18}{cell['severity']:>5.1f}{cell['n_windows']:>9}"
             f"{cell['decided']:>9}{cell['abstained']:>9}{cell['dead_letters']:>6}"
-            f"{cell['throughput_w_per_s']:>8.2f}\n"
+            f"{cell['throughput_w_per_s']:>8.2f}"
         )
     transport = doc["transport"]
-    out(
+    lines.append(
         f"transport s={transport['severity']:.1f}: "
         f"{transport['windows_delivered']}/{transport['windows_offered']} windows "
         f"delivered in {transport['fetch_attempts']} attempts, "
-        f"{transport['recovered_throughput_w_per_s']:.2f} decided w/s\n"
+        f"{transport['recovered_throughput_w_per_s']:.2f} decided w/s"
     )
-    out(
+    lines.append(
         "breaker cycle: "
         + " -> ".join("/".join(t) for t in doc["breaker_cycle"]["transitions"])
-        + "\n"
     )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return "\n".join(lines) + "\n"

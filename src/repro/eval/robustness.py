@@ -14,13 +14,14 @@ abstentions, not just batch featurisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.streaming import StreamingIdentifier
 from repro.data.generator import RawSample
 from repro.dsp.calibration import PhaseCalibrator
+from repro.eval.harness import fit_compact_task
 from repro.eval.reporting import ExperimentResult, ExperimentRow
 from repro.faults import FaultSpec, apply_faults
 
@@ -122,29 +123,71 @@ def robustness_sweep(
     Returns:
         The :class:`RobustnessReport`.
     """
-    clean: list[RobustnessCell] | None = None
-    report = RobustnessReport()
+    return RobustnessReport(
+        cells=sweep_grid(
+            lambda kind, severity: _serve_all(identifier, raw_samples, kind, severity, seed),
+            kinds,
+            severities,
+        )
+    )
+
+
+def sweep_grid(serve_cell, kinds, severities) -> list:
+    """One cell per (kind, severity) from ``serve_cell(kind, severity)``.
+
+    Severity zero runs once and is relabelled per kind: the injectors
+    are exact no-ops there, so per-kind clean baselines are identical
+    by construction.  Cells are dataclasses with a ``kind`` field.
+    """
+    clean = None
+    cells = []
     for kind in kinds:
         for severity in severities:
             if severity == 0.0:
                 if clean is None:
-                    stats = _serve_all(identifier, raw_samples, kind, 0.0, seed)
-                    clean = [stats]
-                cell = clean[0]
-                report.cells.append(
-                    RobustnessCell(
-                        kind=kind,
-                        severity=0.0,
-                        accuracy=cell.accuracy,
-                        abstain_rate=cell.abstain_rate,
-                        n_windows=cell.n_windows,
-                    )
-                )
-                continue
-            report.cells.append(
-                _serve_all(identifier, raw_samples, kind, severity, seed)
-            )
-    return report
+                    clean = serve_cell(kind, 0.0)
+                cells.append(replace(clean, kind=kind))
+            else:
+                cells.append(serve_cell(kind, severity))
+    return cells
+
+
+def faulted_recording(raw: RawSample, spec: FaultSpec, seed: int):
+    """``(runtime log, calibrator)`` of one recording under one fault.
+
+    ``calibration_gap`` corrupts the *calibration* log and refits the
+    calibrator (``None`` when the bootstrap is wiped out entirely)
+    while the runtime log stays clean; every other kind corrupts the
+    runtime log and keeps the clean calibrator.
+    """
+    if spec.kind == "calibration_gap" and spec.severity > 0.0:
+        cal_log = apply_faults(raw.calibration_log, [spec], seed=seed)
+        try:
+            return raw.log, PhaseCalibrator.fit(cal_log)
+        except ValueError:  # bootstrap wiped out entirely
+            return raw.log, None
+    return apply_faults(raw.log, [spec], seed=seed), _clean_calibrator(raw)
+
+
+def count_decisions(served) -> tuple[int, int, int, int]:
+    """``(correct, decided, abstained, total)`` over ``(decisions, label)`` pairs.
+
+    A recording too degraded to hold one complete window counts as one
+    abstention, not a silent skip.
+    """
+    correct = decided = abstained = total = 0
+    for decisions, label in served:
+        if not decisions:
+            abstained += 1
+            total += 1
+        for decision in decisions:
+            total += 1
+            if decision.abstained:
+                abstained += 1
+            else:
+                decided += 1
+                correct += int(decision.label == label)
+    return correct, decided, abstained, total
 
 
 def _serve_all(
@@ -155,40 +198,16 @@ def _serve_all(
     seed: int,
 ) -> RobustnessCell:
     """Serve every recording under one fault setting."""
-    correct = decided = abstained = total = 0
     spec = FaultSpec(kind=kind, severity=severity)
+    served = []
     for i, raw in enumerate(raw_samples):
-        sample_seed = seed * 100_003 + i
-        if kind == "calibration_gap" and severity > 0.0:
-            cal_log = apply_faults(raw.calibration_log, [spec], seed=sample_seed)
-            log = raw.log
-            try:
-                calibrator = PhaseCalibrator.fit(cal_log)
-            except ValueError:  # bootstrap wiped out entirely
-                calibrator = None
-        else:
-            log = apply_faults(raw.log, [spec], seed=sample_seed)
-            calibrator = _clean_calibrator(raw)
-        identifier.calibrator = calibrator
-        decisions = identifier.identify(log)
-        if not decisions:
-            # Log too degraded to hold one complete window: count the
-            # recording as an abstention, not a silent skip.
-            abstained += 1
-            total += 1
-            continue
-        for decision in decisions:
-            total += 1
-            if decision.abstained:
-                abstained += 1
-            else:
-                decided += 1
-                correct += int(decision.label == raw.label)
-    accuracy = correct / decided if decided else float("nan")
+        log, identifier.calibrator = faulted_recording(raw, spec, seed * 100_003 + i)
+        served.append((identifier.identify(log), raw.label))
+    correct, decided, abstained, total = count_decisions(served)
     return RobustnessCell(
         kind=kind,
         severity=severity,
-        accuracy=accuracy,
+        accuracy=correct / decided if decided else float("nan"),
         abstain_rate=abstained / max(total, 1),
         n_windows=total,
     )
@@ -201,65 +220,30 @@ def _clean_calibrator(raw: RawSample) -> PhaseCalibrator:
     return raw.calibrator
 
 
-def run_ext_robustness(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_ext_robustness(
+    quick: bool = True, seed: int = 0, epochs: int | None = None
+) -> ExperimentResult:
     """Degradation curves: accuracy/abstain rate vs fault severity.
 
-    Trains a compact pipeline on clean recordings of four activities,
-    then sweeps :data:`DEFAULT_FAULT_KINDS` x
-    :data:`DEFAULT_SEVERITIES` over the held-out recordings through the
-    streaming serving path.
+    Trains the compact 4-class pipeline on clean recordings
+    (:func:`~repro.eval.harness.fit_compact_task`), then sweeps
+    :data:`DEFAULT_FAULT_KINDS` x :data:`DEFAULT_SEVERITIES` over the
+    held-out recordings through the streaming serving path.
     """
-    from repro.core.config import M2AIConfig
-    from repro.core.pipeline import M2AIPipeline
-    from repro.data.generator import GenerationConfig, SyntheticDatasetGenerator
-    from repro.eval.harness import get_raw_samples
+    pipeline, test_raws, _fit_s = fit_compact_task(quick, seed, epochs)
 
-    cfg = GenerationConfig(
-        scenario_labels=("A01", "A03", "A07", "A11"),
-        samples_per_class=6 if quick else 12,
-        duration_s=6.0,
-        calibration_s=20.0,
-        seed=seed,
-    )
-    raw = get_raw_samples(cfg)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(raw))
-    n_test = max(4, int(0.25 * len(raw)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    generator = SyntheticDatasetGenerator(cfg)
-    train_ds = generator.featurize([raw[i] for i in train_idx])
-
-    import os
-
-    epochs = 25 if quick else 45
-    override = os.environ.get("REPRO_BENCH_EPOCHS")
-    if override:
-        epochs = min(epochs, int(override))
-    pipeline = M2AIPipeline(M2AIConfig(epochs=epochs, batch_size=8, seed=seed))
-    pipeline.fit(train_ds)
-
-    dwell = raw[0].log.meta.dwell_s
+    dwell = test_raws[0].log.meta.dwell_s
     identifier = StreamingIdentifier(
-        pipeline, window_s=raw[0].n_frames * dwell, min_reads=32
+        pipeline, window_s=test_raws[0].n_frames * dwell, min_reads=32
     )
-    report = robustness_sweep(
-        identifier, [raw[i] for i in test_idx], seed=seed
-    )
+    report = robustness_sweep(identifier, test_raws, seed=seed)
 
     rows = []
     for cell in report.cells:
+        label = f"{cell.kind} s={cell.severity:.1f}"
         acc = 0.0 if np.isnan(cell.accuracy) else cell.accuracy
-        rows.append(
-            ExperimentRow(f"{cell.kind} s={cell.severity:.1f}", None, acc)
-        )
-        rows.append(
-            ExperimentRow(
-                f"{cell.kind} s={cell.severity:.1f} abstain",
-                None,
-                cell.abstain_rate,
-                unit="rate",
-            )
-        )
+        rows.append(ExperimentRow(label, None, acc))
+        rows.append(ExperimentRow(f"{label} abstain", None, cell.abstain_rate, unit="rate"))
     return ExperimentResult(
         experiment_id="ext-robustness",
         title="Fault robustness: accuracy/abstain vs severity",

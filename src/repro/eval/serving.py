@@ -17,9 +17,9 @@ A third section exercises the fleet's control surface (admission
 rejection, sustained-overload shedding, worker crash reassignment) so
 the counters the operators would alert on are demonstrably live.
 
-Run as a module to produce the benchmark artifact::
+Run it through the experiment CLI to produce the benchmark artifact::
 
-    PYTHONPATH=src python -m repro.eval.serving --quick
+    PYTHONPATH=src python -m repro.experiments bench ext_serving
 
 which writes ``BENCH_ext_serving.json``.  The driver raises instead
 of writing an artifact whenever a contract is violated.
@@ -33,6 +33,7 @@ import time
 import numpy as np
 
 from repro.core.streaming import REASON_ADMISSION, StreamingIdentifier
+from repro.eval.harness import fit_compact_task
 from repro.eval.reporting import ExperimentResult, ExperimentRow
 from repro.eval.robustness import _clean_calibrator
 from repro.serving import FleetServer
@@ -57,6 +58,21 @@ WINDOW_FRAMES = 4
 cheap relative to per-call inference overhead, which is the regime a
 dense multi-room deployment lives in (many rooms, short decision
 windows) and the one where cross-stream batching pays."""
+
+COMPACT_MODEL = {
+    "conv_channels": (8, 12),
+    "conv_kernels": (5, 3),
+    "branch_dim": 24,
+    "merge_dim": 24,
+    "lstm_hidden": 16,
+    "lstm_layers": 1,
+}
+"""Architecture of the edge-serving model.
+
+The bench measures the *serving infrastructure* (pooled DSP + shared
+inference vs the naive loop), so it deploys the smallest member of the
+model family — both modes serve the identical fitted model, and the
+throughput contract also requires their decisions to match exactly."""
 
 
 def _poison_log(log, fraction: float, seed: int):
@@ -412,66 +428,25 @@ def controls_study(identifier_factory, raws, seed: int = 0) -> dict:
     return doc
 
 
-def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
-    """Build the workload, run all three studies, assemble the artifact.
+def run_serving_bench(
+    quick: bool = True, seed: int = 0, epochs: int | None = None
+) -> dict:
+    """Build the workload, run all three studies, assemble the body.
 
-    Trains the same compact 4-class pipeline as the other runtime
-    benches, then serves it fleet-wide with short
-    (:data:`WINDOW_FRAMES`-frame) windows.
+    Fits the compact 4-class task
+    (:func:`~repro.eval.harness.fit_compact_task`) with the
+    :data:`COMPACT_MODEL` architecture, then serves it fleet-wide with
+    short (:data:`WINDOW_FRAMES`-frame) windows.
 
     Raises:
         RuntimeError: when any contract is violated — the artifact is
             never written from a run that broke its own claims.
     """
-    import os
-
     from repro import obs
-    from repro.core.config import M2AIConfig
-    from repro.core.pipeline import M2AIPipeline
-    from repro.data.generator import GenerationConfig, SyntheticDatasetGenerator
-    from repro.eval.harness import get_raw_samples
 
-    cfg = GenerationConfig(
-        scenario_labels=("A01", "A03", "A07", "A11"),
-        samples_per_class=6 if quick else 12,
-        duration_s=6.0,
-        calibration_s=20.0,
-        seed=seed,
+    pipeline, serve_raws, setup_s = fit_compact_task(
+        quick, seed, epochs, **COMPACT_MODEL
     )
-    raw = get_raw_samples(cfg)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(raw))
-    n_serve = max(4, int(0.25 * len(raw)))
-    serve_idx, train_idx = order[:n_serve], order[n_serve:]
-    generator = SyntheticDatasetGenerator(cfg)
-    train_ds = generator.featurize([raw[i] for i in train_idx])
-
-    epochs = 25 if quick else 45
-    override = os.environ.get("REPRO_BENCH_EPOCHS")
-    if override:
-        epochs = min(epochs, int(override))
-    t_setup = time.perf_counter()
-    # A compact edge-serving config: the bench measures the *serving
-    # infrastructure* (pooled DSP + shared inference vs the naive
-    # loop), so it deploys the smallest member of the model family —
-    # both modes serve the identical fitted model, and the throughput
-    # contract also requires their decisions to match exactly.
-    model_cfg = M2AIConfig(
-        conv_channels=(8, 12),
-        conv_kernels=(5, 3),
-        branch_dim=24,
-        merge_dim=24,
-        lstm_hidden=16,
-        lstm_layers=1,
-        epochs=epochs,
-        batch_size=8,
-        seed=seed,
-    )
-    pipeline = M2AIPipeline(model_cfg)
-    pipeline.fit(train_ds)
-    setup_s = time.perf_counter() - t_setup
-
-    serve_raws = [raw[i] for i in serve_idx]
     dwell = serve_raws[0].log.meta.dwell_s
     window_s = WINDOW_FRAMES * dwell
 
@@ -508,11 +483,8 @@ def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
         )
 
     return {
-        "schema": "repro.serving.bench.v1",
-        "quick": bool(quick),
-        "seed": int(seed),
         "setup_s": round(setup_s, 3),
-        "epochs": int(epochs),
+        "epochs": int(pipeline.config.epochs),
         "window_s": float(window_s),
         "window_frames": WINDOW_FRAMES,
         "n_serve_recordings": len(serve_raws),
@@ -523,44 +495,29 @@ def run_serving_bench(quick: bool = True, seed: int = 0) -> dict:
     }
 
 
-def run_ext_serving(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_ext_serving(
+    quick: bool = True, seed: int = 0, epochs: int | None = None
+) -> ExperimentResult:
     """Fleet serving: batched scaling curve plus isolation evidence.
 
     The extension-study entry point (``ext-serving``): runs
     :func:`run_serving_bench` and reports the scaling curve, the
     32-stream speedup, and the isolation outcomes as rows.
     """
-    doc = run_serving_bench(quick=quick, seed=seed)
+    doc = run_serving_bench(quick=quick, seed=seed, epochs=epochs)
     rows = []
     for point in doc["throughput"]["points"]:
-        rows.append(
-            ExperimentRow(
-                f"{point['n_streams']} streams batched",
-                None,
-                point["batched_throughput_w_per_s"],
-                unit="w/s",
-            )
-        )
-        rows.append(
-            ExperimentRow(
-                f"{point['n_streams']} streams speedup",
-                None,
-                point["speedup"],
-                unit="x",
-            )
-        )
+        label = f"{point['n_streams']} streams"
+        batched = point["batched_throughput_w_per_s"]
+        rows.append(ExperimentRow(f"{label} batched", None, batched, unit="w/s"))
+        rows.append(ExperimentRow(f"{label} speedup", None, point["speedup"], unit="x"))
     iso = doc["isolation"]
     rows.append(
         ExperimentRow(
-            "healthy decisions unchanged",
-            None,
-            iso["healthy_unchanged_fraction"],
-            unit="rate",
+            "healthy decisions unchanged", None, iso["healthy_unchanged_fraction"], unit="rate"
         )
     )
-    rows.append(
-        ExperimentRow("healthy p95 latency ratio", None, iso["p95_ratio"], unit="x")
-    )
+    rows.append(ExperimentRow("healthy p95 latency ratio", None, iso["p95_ratio"], unit="x"))
     return ExperimentResult(
         experiment_id="ext-serving",
         title="Fleet serving: cross-stream batching with per-stream isolation",
@@ -582,55 +539,26 @@ def run_ext_serving(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the bench and write the JSON artifact."""
-    import argparse
-    import sys
-    from pathlib import Path
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.eval.serving",
-        description="Fleet serving benchmark: batching and isolation.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="CI-sized workload (smaller, faster)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path("BENCH_ext_serving.json"),
-        help="artifact path (default: BENCH_ext_serving.json)",
-    )
-    args = parser.parse_args(argv)
-
-    doc = run_serving_bench(quick=args.quick, seed=args.seed)
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-
-    out = sys.stdout.write
-    out(f"wrote {args.out}\n")
-    out(f"{'streams':>8}{'windows':>9}{'batched w/s':>13}{'naive w/s':>11}{'speedup':>9}\n")
+def bench_summary(doc: dict) -> str:
+    """The bench's stdout summary: scaling curve, isolation, controls."""
+    lines = [f"{'streams':>8}{'windows':>9}{'batched w/s':>13}{'naive w/s':>11}{'speedup':>9}"]
     for point in doc["throughput"]["points"]:
-        out(
+        lines.append(
             f"{point['n_streams']:>8}{point['n_windows']:>9}"
             f"{point['batched_throughput_w_per_s']:>13.1f}"
             f"{point['naive_throughput_w_per_s']:>11.1f}"
-            f"{point['speedup']:>9.2f}\n"
+            f"{point['speedup']:>9.2f}"
         )
     iso = doc["isolation"]
-    out(
+    lines.append(
         f"isolation: {iso['n_poisoned']}/{iso['n_streams']} poisoned, "
         f"{iso['healthy_unchanged']}/{iso['healthy_streams']} healthy streams "
-        f"unchanged, p95 ratio {iso['p95_ratio']:.2f}x\n"
+        f"unchanged, p95 ratio {iso['p95_ratio']:.2f}x"
     )
     controls = doc["controls"]
-    out(
+    lines.append(
         f"controls: {controls['admission']['rejected']} rejected at admission, "
         f"{controls['shedding']['shed_windows_total']} windows shed, "
-        f"{controls['crash_recovery']['reassigned_total']} streams reassigned\n"
+        f"{controls['crash_recovery']['reassigned_total']} streams reassigned"
     )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return "\n".join(lines) + "\n"

@@ -64,9 +64,9 @@ def _freeze(scene: Scene, n_slots: int) -> Scene:
     return Scene(tag_tracks=tuple(tracks), bodies=bodies)
 
 
-def run_fig02(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_fig02(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Fig. 2: pseudospectrum behaviour from one tag to a crowded room."""
-    del quick  # signal-level study; always fast
+    del quick, epochs  # signal-level study; always fast, nothing trains
     room = make_laboratory()
     array = UniformLinearArray(center=Vec2(room.bounds.width / 2.0, 0.3))
     rng = np.random.default_rng(seed)
@@ -128,8 +128,9 @@ def run_fig02(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
 
 
-def run_fig03(quick: bool = True, seed: int = 0) -> ExperimentResult:
+def run_fig03(quick: bool = True, seed: int = 0, epochs: int | None = None) -> ExperimentResult:
     """Fig. 3: phase-vs-frequency linearity of a stationary tag."""
+    del epochs  # signal-level study; nothing trains
     room = make_laboratory()
     array = UniformLinearArray(center=Vec2(room.bounds.width / 2.0, 0.3))
     rng = np.random.default_rng(seed)

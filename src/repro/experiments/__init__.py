@@ -7,8 +7,10 @@ overrides, content-hashed), :func:`run_one` executes it,
 :class:`ResultsStore` makes every completed cell durable and a killed
 sweep resumable, :mod:`~repro.experiments.metrics` collapses the seed
 axis, and :mod:`~repro.experiments.report` renders EXPERIMENTS.md from
-the store.  The first workload built on it is the cross-environment
-domain-shift eval (:mod:`~repro.experiments.domain_shift`).
+the store, and ``python -m repro.experiments`` is the one CLI over it
+(``run`` sweeps registry cells, ``bench`` writes a ``BENCH_*.json``
+artifact).  The cross-environment domain-shift sweep lives in
+:mod:`~repro.experiments.domain_shift`.
 """
 
 from repro.experiments.metrics import (
@@ -26,7 +28,6 @@ from repro.experiments.runner import (
     ExperimentBatchError,
     UnknownExperimentError,
     default_registry,
-    register_runner,
     run_batch,
     run_one,
     validate_ids,
@@ -51,7 +52,6 @@ __all__ = [
     "default_registry",
     "default_store_root",
     "make_spec",
-    "register_runner",
     "render_aggregate_table",
     "render_block",
     "render_experiments_md",
@@ -60,22 +60,3 @@ __all__ = [
     "validate_ids",
     "write_experiments_md",
 ]
-
-# Convenience access (kept out of __all__ on purpose: the canonical
-# home is repro.experiments.domain_shift, which documents them).
-_LAZY = {"run_domain_shift", "run_domain_shift_bench"}
-
-
-def __getattr__(name: str):
-    """Resolve the domain-shift entry points on first use.
-
-    :mod:`~repro.experiments.domain_shift` pulls in the full
-    ``repro.eval`` training stack; importing it eagerly would make
-    every spawned sweep worker pay that start-up cost (and trips
-    runpy's double-import warning under ``python -m``).
-    """
-    if name in _LAZY:
-        from repro.experiments import domain_shift
-
-        return getattr(domain_shift, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

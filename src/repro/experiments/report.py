@@ -1,9 +1,10 @@
 """Render EXPERIMENTS.md from the durable results store.
 
-Each record renders as one fenced block whose footer names the mode
-and seed it was produced under — the old single-key cache silently
-interleaved quick/full blocks and seeds with nothing in the output to
-tell them apart.  Blocks are ordered by the experiment registry (so
+Each record renders as one fenced block whose footer names the mode,
+seed and overrides (a trimmed ``epochs`` budget included) it was
+produced under — the old single-key cache silently interleaved
+quick/full blocks and seeds with nothing in the output to tell them
+apart.  Blocks are ordered by the experiment registry (so
 the document reads in paper order) and, within one experiment, by
 ``(mode, seed)``.  The file itself is published atomically.
 """
@@ -31,27 +32,32 @@ substitutions).  Absolute accuracies are not expected to match the
 hardware testbed; the *shape* of each result is what is verified.
 Paper values marked `~` are read off a bar chart, not stated in text.
 
-Regenerate with `python scripts/run_experiments.py` (quick mode) or
-`pytest benchmarks/ --benchmark-only`.  Results live in a durable
-per-cell store (`.repro_cache/experiments/`, one JSON record per
-(experiment, mode, seed) — see DESIGN.md section 15): reruns skip
-completed cells, `--force` re-executes them, and each block's footer
-records the mode and seed that produced it, so quick and full runs or
-different seeds can coexist without overwriting each other.  Blocks
-tagged "recorded by the benchmark suite" come from the trimmed-budget
-benchmark pass and are correspondingly noisier.  Small held-out splits
-(12-48 samples) give the accuracies a granularity of several points;
-treat trends, not single cells, as the signal.
+Regenerate with `python -m repro.experiments run` (quick mode; `--full`
+for paper scale, `--epochs N` to cap the training budget) or
+`pytest benchmarks/ --benchmark-only` (quick, 15 epochs).  Results live
+in a durable per-cell store (`.repro_cache/experiments/`, one JSON
+record per (experiment, mode, seed, overrides) — see DESIGN.md section
+15): reruns skip completed cells, `--force` re-executes them, and each
+block's footer records the mode, seed and any overrides (such as a
+trimmed `epochs=15` budget) that produced it, so quick and full runs,
+seeds and budgets coexist without overwriting each other.  Small
+held-out splits (12-48 samples) give the accuracies a granularity of
+several points; treat trends, not single cells, as the signal.
 
 """
 
 
 def render_block(record: ResultRecord) -> str:
-    """One record as a fenced text block with a mode/seed footer."""
+    """One record as a fenced text block with a mode/seed/overrides footer."""
     spec = record.spec
+    overrides = ", ".join(
+        f"{name}={value}" for name, value in spec.gen_overrides + spec.train_overrides
+    )
     footer = (
         f"\n\n(wall-clock: {record.elapsed_s:.0f} s, "
-        f"mode: {spec.mode}, seed: {spec.seed})\n"
+        f"mode: {spec.mode}, seed: {spec.seed}"
+        + (f", overrides: {overrides}" if overrides else "")
+        + ")\n"
     )
     return "```text\n" + record.block + footer + "```\n"
 

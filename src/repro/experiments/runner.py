@@ -21,7 +21,6 @@ same specs produce byte-identical record content regardless of
 from __future__ import annotations
 
 import importlib
-import inspect
 import multiprocessing
 import sys
 import time
@@ -36,7 +35,6 @@ __all__ = [
     "ExperimentBatchError",
     "UnknownExperimentError",
     "default_registry",
-    "register_runner",
     "resolve_registry_factory",
     "run_batch",
     "run_one",
@@ -45,8 +43,6 @@ __all__ = [
 
 DEFAULT_REGISTRY_FACTORY = "repro.experiments.runner:default_registry"
 """Dotted ``module:callable`` workers resolve their registry from."""
-
-_EXTRA_RUNNERS: dict[str, Callable] = {}
 
 _POLL_S = 0.05
 
@@ -81,29 +77,16 @@ class ExperimentBatchError(RuntimeError):
         )
 
 
-def register_runner(exp_id: str, runner: Callable) -> Callable:
-    """Register an extra driver under ``exp_id`` (returns ``runner``).
-
-    Drivers take ``(quick: bool, seed: int, **overrides)`` and return
-    an :class:`~repro.eval.reporting.ExperimentResult`.  The paper and
-    extension drivers come from :data:`repro.eval.ALL_EXPERIMENTS`;
-    this hook is for new workloads (e.g. the domain-shift eval).
-    """
-    _EXTRA_RUNNERS[exp_id] = runner
-    return runner
-
-
 def default_registry() -> dict[str, Callable]:
-    """Every known experiment driver, keyed by id."""
+    """Every known experiment driver, keyed by id.
+
+    A copy of :data:`repro.eval.ALL_EXPERIMENTS`; spawned workers (and
+    tests, through ``registry_factory``) resolve their registry through
+    a factory like this one so a fake registry can stand in.
+    """
     from repro.eval import ALL_EXPERIMENTS
 
-    # Imported for its register_runner side effect: the domain-shift
-    # driver lives outside repro.eval to keep the dependency one-way.
-    import repro.experiments.domain_shift  # noqa: F401
-
-    registry = dict(ALL_EXPERIMENTS)
-    registry.update(_EXTRA_RUNNERS)
-    return registry
+    return dict(ALL_EXPERIMENTS)
 
 
 def resolve_registry_factory(factory: str) -> dict[str, Callable]:
@@ -133,33 +116,6 @@ def validate_ids(
         raise UnknownExperimentError(unknown, list(registry))
 
 
-def _call_runner(runner: Callable, spec: ExperimentSpec):
-    """Invoke a driver with the spec's seed/mode and any overrides."""
-    kwargs: dict[str, object] = {
-        "quick": spec.mode == "quick",
-        "seed": spec.seed,
-    }
-    overrides = spec.overrides_dict()
-    if overrides:
-        signature = inspect.signature(runner)
-        has_var_kw = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in signature.parameters.values()
-        )
-        unknown = [
-            name
-            for name in overrides
-            if not has_var_kw and name not in signature.parameters
-        ]
-        if unknown:
-            raise TypeError(
-                f"driver for {spec.exp_id!r} does not accept override(s) "
-                f"{', '.join(sorted(unknown))}"
-            )
-        kwargs.update(overrides)
-    return runner(**kwargs)
-
-
 def run_one(
     spec: ExperimentSpec, registry: "dict[str, Callable] | None" = None
 ) -> ResultRecord:
@@ -171,8 +127,9 @@ def run_one(
     """
     registry = registry if registry is not None else default_registry()
     validate_ids([spec.exp_id], registry)
+    driver = registry[spec.exp_id]
     t0 = time.monotonic()
-    result = _call_runner(registry[spec.exp_id], spec)
+    result = driver(quick=spec.mode == "quick", seed=spec.seed, **spec.overrides_dict())
     elapsed = time.monotonic() - t0
     return ResultRecord.from_result(spec, result, elapsed_s=elapsed)
 

@@ -6,9 +6,10 @@ a **content-hashed key** from the whole payload.  The key is what the
 durable :class:`~repro.experiments.store.ResultsStore` files records
 under, so two cells that differ in *any* field (a different seed, a
 ``--full`` rerun, an extra override) can never collide.  This is the
-fix for the old ``scripts/run_experiments.py`` cache, which keyed on
-the experiment id alone and silently served a quick-mode seed-0 block
-to a ``--full --seed 3`` rerun.
+fix for an earlier cache that keyed on the experiment id alone and
+silently served a quick-mode seed-0 block to a ``--full --seed 3``
+rerun.  The training budget is a training override (``epochs``), so a
+trimmed-budget record is keyed apart from an untrimmed one too.
 
 Override values are restricted to JSON scalars so the canonical form
 (and therefore the hash) is unambiguous across processes and runs.
@@ -27,8 +28,12 @@ __all__ = [
     "make_spec",
 ]
 
-SPEC_SCHEMA = 1
-"""Version folded into every spec hash; bump on incompatible changes."""
+SPEC_SCHEMA = 2
+"""Version folded into every spec hash; bump on incompatible changes.
+
+Version 2: the training budget travels as ``train_overrides["epochs"]``
+(it used to be an environment variable outside the key), so no record
+made under schema 1 is ever served."""
 
 _MODES = ("quick", "full")
 

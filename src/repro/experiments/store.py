@@ -16,6 +16,7 @@ crash mid-write lost *every* completed cell and the next run died in
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 import warnings
@@ -24,10 +25,15 @@ from pathlib import Path
 from repro.experiments.spec import ResultRecord
 
 __all__ = [
+    "BENCH_SCHEMA",
     "ResultsStore",
     "atomic_write_text",
     "default_store_root",
+    "write_bench",
 ]
+
+BENCH_SCHEMA = "repro.bench.v2"
+"""Envelope version of every ``BENCH_*.json`` artifact."""
 
 
 def default_store_root() -> Path:
@@ -58,6 +64,32 @@ def atomic_write_text(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_bench(
+    path: Path, bench: str, body: dict, mode: str, seed: int, epochs: int | None
+) -> None:
+    """Publish one ``BENCH_*.json`` artifact atomically.
+
+    Every artifact carries the same header — ``bench``, ``schema``,
+    ``mode``, ``seed`` and the training-budget cap ``epochs_cap``
+    (``None`` when uncapped) — followed by the bench's own body keys at
+    top level.
+
+    Raises:
+        ValueError: a body key collides with a header key.
+    """
+    header = {
+        "bench": bench,
+        "schema": BENCH_SCHEMA,
+        "mode": mode,
+        "seed": int(seed),
+        "epochs_cap": epochs,
+    }
+    clash = sorted(set(header) & set(body))
+    if clash:
+        raise ValueError(f"bench body repeats header key(s) {clash}")
+    atomic_write_text(path, json.dumps({**header, **body}, indent=2) + "\n")
 
 
 class ResultsStore:

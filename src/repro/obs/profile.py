@@ -1,8 +1,8 @@
 """Profiling harness: per-stage latency percentiles for the M²AI path.
 
-Run as a module::
+Run it through the experiment CLI::
 
-    PYTHONPATH=src python -m repro.obs.profile --quick
+    PYTHONPATH=src python -m repro.experiments bench obs_realtime
 
 The harness builds a small but complete workload — simulated reader
 inventory, phase calibration, a trained 2-class pipeline, a continuous
@@ -28,11 +28,8 @@ measured through it.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -344,7 +341,8 @@ def run_profile(quick: bool = True, seed: int = 0, repeat: int | None = None) ->
             quick / 5 full).
 
     Returns:
-        The benchmark document (also the JSON artifact's content).
+        The benchmark body (the JSON artifact's content below its
+        header).
 
     Raises:
         RuntimeError: when a required stage produced no spans — i.e.
@@ -435,9 +433,6 @@ def run_profile(quick: bool = True, seed: int = 0, repeat: int | None = None) ->
         "total_ms", 0.0
     ) / max(stages["streaming.window"]["count"], 1)
     doc = {
-        "schema": "repro.obs.bench.v1",
-        "quick": bool(quick),
-        "seed": int(seed),
         "repeat": int(repeat),
         "setup_s": round(setup_s, 3),
         "measure_s": round(measure_s, 3),
@@ -465,80 +460,52 @@ def run_profile(quick: bool = True, seed: int = 0, repeat: int | None = None) ->
     return doc
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the profile and write the JSON artifact."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.profile",
-        description="Profile the instrumented ingest→DSP→inference path.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="CI-sized workload (smaller, faster)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    parser.add_argument(
-        "--repeat", type=int, default=None, help="measured iterations per driver"
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path("BENCH_obs_realtime.json"),
-        help="artifact path (default: BENCH_obs_realtime.json)",
-    )
-    args = parser.parse_args(argv)
-
-    doc = run_profile(quick=args.quick, seed=args.seed, repeat=args.repeat)
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-
-    out = sys.stdout.write
-    out(f"wrote {args.out}\n")
-    out(f"{'stage':<28}{'count':>7}{'p50 ms':>10}{'p95 ms':>10}{'p99 ms':>10}\n")
+def bench_summary(doc: dict) -> str:
+    """The bench's stdout summary: stage percentiles, margins, nn, batch."""
+    lines = [f"{'stage':<28}{'count':>7}{'p50 ms':>10}{'p95 ms':>10}{'p99 ms':>10}"]
     for name, st in doc["stages"].items():
-        out(
+        lines.append(
             f"{name:<28}{st['count']:>7}{st['p50_ms']:>10.3f}"
-            f"{st['p95_ms']:>10.3f}{st['p99_ms']:>10.3f}\n"
+            f"{st['p95_ms']:>10.3f}{st['p99_ms']:>10.3f}"
         )
     rt = doc["realtime"]
-    out(
+    lines.append(
         f"real-time margin: {rt['margin_x']:.1f}x "
-        f"(p95 window {rt['window_p95_ms']:.0f} ms vs {rt['window_s']:.0f} s budget)\n"
+        f"(p95 window {rt['window_p95_ms']:.0f} ms vs {rt['window_s']:.0f} s budget)"
     )
-    out(
+    lines.append(
         f"identify per window: {rt['identify_per_window_ms']:.2f} ms "
-        f"({rt['identify_margin_x']:.1f}x real time, inference batched)\n"
+        f"({rt['identify_margin_x']:.1f}x real time, inference batched)"
     )
-    out(
+    lines.append(
         f"predict per window: {rt['predict_per_window_ms']:.3f} ms "
-        f"(serve_dtype={rt['serve_dtype']})\n"
+        f"(serve_dtype={rt['serve_dtype']})"
     )
     nn = doc["nn"]
     for layer in nn["lstm"]:
-        out(
+        lines.append(
             f"nn lstm[{layer['layer']}]: {layer['scalar_ms']:.3f} ms scalar vs "
             f"{layer['fused_ms']:.3f} ms fused ({layer['speedup_x']:.1f}x, "
-            f"parity rtol {nn['parity_rtol']:g})\n"
+            f"parity rtol {nn['parity_rtol']:g})"
         )
     serve = nn["serve"]
-    out(
+    lines.append(
         f"nn serve: {serve['float64_ms']:.2f} ms float64 vs "
         f"{serve['float32_ms']:.2f} ms float32 over {serve['windows']} windows "
         f"({serve['speedup_x']:.1f}x, parity gate "
-        f"{'accepted' if serve['parity_gate']['accepted'] else 'REJECTED'})\n"
+        f"{'accepted' if serve['parity_gate']['accepted'] else 'REJECTED'})"
     )
     runtime = doc["runtime"]
-    out(
+    lines.append(
         f"supervised window p95: {runtime['supervised_window_p95_ms']:.2f} ms, "
-        f"health={runtime['health']['state']}\n"
+        f"health={runtime['health']['state']}"
     )
     batch = doc["batch"]
     for kind in ("music", "periodogram"):
         st = batch[kind]
-        out(
+        lines.append(
             f"batch {kind}: {st['scalar_ms']:.3f} ms scalar vs "
             f"{st['batch_ms']:.3f} ms batched over {batch['dwells']} dwells "
-            f"({st['speedup_x']:.1f}x)\n"
+            f"({st['speedup_x']:.1f}x)"
         )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return "\n".join(lines) + "\n"

@@ -31,5 +31,5 @@ class TestDriverHygiene:
         text = "\n".join(
             p.read_text() for p in bench_dir.glob("bench_*.py")
         )
-        for name, fn in ALL_EXPERIMENTS.items():
-            assert fn.__name__ in text, f"no benchmark invokes {fn.__name__}"
+        for exp_id in ALL_EXPERIMENTS:
+            assert f'run_experiment("{exp_id}")' in text, f"no benchmark runs {exp_id}"

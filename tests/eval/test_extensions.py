@@ -3,8 +3,6 @@ exercised by the benchmark suite)."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.eval import run_ext_hub_coverage
 
 
@@ -41,10 +39,10 @@ class TestExperimentRegistry:
         assert expected <= set(ALL_EXPERIMENTS)
 
     def test_extensions_registered(self):
-        from repro.eval import EXTENSIONS
+        from repro.eval import ALL_EXPERIMENTS
 
         assert {
-            "ext-transfer",
+            "ext-domain-shift",
             "ext-hub",
             "ext-augment",
             "ext-realtime",
@@ -52,7 +50,7 @@ class TestExperimentRegistry:
             "ext-batching",
             "ext-resilience",
             "ext-serving",
-        } == set(EXTENSIONS)
+        } == {exp_id for exp_id in ALL_EXPERIMENTS if exp_id.startswith("ext-")}
 
     def test_drivers_are_callable_with_standard_signature(self):
         import inspect
@@ -61,4 +59,5 @@ class TestExperimentRegistry:
 
         for name, fn in ALL_EXPERIMENTS.items():
             params = inspect.signature(fn).parameters
-            assert "quick" in params and "seed" in params, name
+            assert list(params)[:3] == ["quick", "seed", "epochs"], name
+            assert params["epochs"].default is None, name

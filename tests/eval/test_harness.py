@@ -8,7 +8,14 @@ import pytest
 from repro.core import M2AIConfig
 from repro.data import GenerationConfig
 from repro.eval import baseline_zoo, clear_cache, eval_baselines, get_dataset, train_eval_m2ai
-from repro.eval.harness import _RAW_CACHE, get_raw_samples
+from repro.data.generator import vary
+from repro.eval.harness import (
+    _RAW_CACHE,
+    _REPRO_ROOT,
+    _SIMULATOR_PACKAGES,
+    _cache_key,
+    get_raw_samples,
+)
 
 TINY = GenerationConfig(
     scenario_labels=("A01", "A03"),
@@ -46,6 +53,45 @@ class TestCaching:
         ds = get_dataset(TINY)
         assert len(ds) == 6
         assert sorted(ds.classes) == ["A01", "A03"]
+
+
+class TestCacheKey:
+    """The corpus cache key covers the config and the simulator source."""
+
+    @staticmethod
+    def simulator_copy(dest, monkeypatch):
+        """Key against a copy of the simulator packages under ``dest``."""
+        import shutil
+
+        import repro.eval.harness as harness
+
+        for package in _SIMULATOR_PACKAGES:
+            shutil.copytree(
+                _REPRO_ROOT / package,
+                dest / package,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        monkeypatch.setattr(harness, "_REPRO_ROOT", dest)
+        return dest
+
+    def test_same_config_and_sources_same_key(self, tmp_path, monkeypatch):
+        key = _cache_key(TINY)
+        assert _cache_key(TINY) == key
+        self.simulator_copy(tmp_path / "copy", monkeypatch)
+        assert _cache_key(TINY) == key
+
+    def test_config_field_changes_key(self):
+        assert _cache_key(vary(TINY, seed=78)) != _cache_key(TINY)
+        assert _cache_key(vary(TINY, n_antennas=3)) != _cache_key(TINY)
+
+    @pytest.mark.parametrize("package", _SIMULATOR_PACKAGES)
+    def test_one_source_byte_changes_key(self, tmp_path, monkeypatch, package):
+        key = _cache_key(TINY)
+        copy = self.simulator_copy(tmp_path / "edited", monkeypatch)
+        source = sorted((copy / package).glob("*.py"))[-1]
+        text = source.read_bytes()
+        source.write_bytes(text[:-1] + bytes([text[-1] ^ 1]))
+        assert _cache_key(TINY) != key
 
 
 class TestBaselineZoo:

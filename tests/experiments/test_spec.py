@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import ExperimentSpec, ResultRecord, make_spec
 from tests.experiments.toyreg import run_toy
@@ -92,3 +95,59 @@ class TestResultRecord:
 
     def test_measured_by_name(self):
         assert self.make_record().measured_by_name() == {"value": 21.0}
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+)
+_NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_OVERRIDES = st.dictionaries(_NAMES, _SCALARS, max_size=3)
+_SPECS = st.builds(
+    make_spec,
+    exp_id=st.text(min_size=1, max_size=12),
+    mode=st.sampled_from(["quick", "full"]),
+    seed=st.integers(0, 10**6),
+    gen_overrides=_OVERRIDES,
+    train_overrides=_OVERRIDES,
+)
+
+
+def _with_override(spec, field, name, value):
+    overrides = {
+        "gen_overrides": dict(spec.gen_overrides),
+        "train_overrides": dict(spec.train_overrides),
+    }
+    overrides[field][name] = value
+    return make_spec(spec.exp_id, spec.mode, spec.seed, **overrides)
+
+
+class TestKeyCompleteness:
+    """Any input that changes what a cell computes changes its key."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_SPECS, data=st.data())
+    def test_changing_any_field_changes_the_key(self, spec, data):
+        field = data.draw(
+            st.sampled_from(["exp_id", "mode", "seed", "gen_overrides", "train_overrides"])
+        )
+        if field == "exp_id":
+            other = replace(spec, exp_id=data.draw(st.text(min_size=1, max_size=12)))
+        elif field == "mode":
+            other = replace(spec, mode="full" if spec.mode == "quick" else "quick")
+        elif field == "seed":
+            other = replace(spec, seed=data.draw(st.integers(0, 10**6)))
+        else:
+            name, value = data.draw(_NAMES), data.draw(_SCALARS)
+            other = _with_override(spec, field, name, value)
+        assume(other.payload() != spec.payload())
+        assert other.key != spec.key
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_SPECS, epochs=st.integers(1, 500))
+    def test_training_budget_changes_the_key(self, spec, epochs):
+        assume(dict(spec.train_overrides).get("epochs") != epochs)
+        assert _with_override(spec, "train_overrides", "epochs", epochs).key != spec.key

@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import json
 
+from repro.experiments.__main__ import main
+from repro.experiments.store import BENCH_SCHEMA
 from repro.obs import profile
 
 
 def test_quick_profile_writes_required_stages(tmp_path):
     out = tmp_path / "BENCH_obs_realtime.json"
-    rc = profile.main(
-        ["--quick", "--seed", "3", "--repeat", "1", "--out", str(out)]
+    rc = main(
+        ["bench", "obs_realtime", "--seed", "3", "--repeat", "1", "--out", str(out)]
     )
     assert rc == 0
     doc = json.loads(out.read_text())
 
-    assert doc["schema"] == "repro.obs.bench.v1"
-    assert doc["quick"] is True
+    assert doc["bench"] == "obs_realtime"
+    assert doc["schema"] == BENCH_SCHEMA
+    assert doc["mode"] == "quick"
+    assert doc["seed"] == 3
     assert doc["required_stages"] == list(profile.REQUIRED_STAGES)
     for stage in profile.REQUIRED_STAGES:
         st = doc["stages"][stage]
@@ -37,5 +41,5 @@ def test_profile_leaves_instrumentation_disabled(tmp_path):
     from repro import obs
 
     out = tmp_path / "bench.json"
-    profile.main(["--quick", "--seed", "5", "--repeat", "1", "--out", str(out)])
+    main(["bench", "obs_realtime", "--seed", "5", "--repeat", "1", "--out", str(out)])
     assert not obs.is_enabled()

@@ -1,4 +1,4 @@
-"""The repo scripts' plumbing (no heavy experiments)."""
+"""The experiment CLI and the repo scripts' plumbing (no heavy experiments)."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.experiments import __main__ as cli
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -22,39 +24,37 @@ def load_script(name: str):
     return module
 
 
-def load_runner():
-    return load_script("run_experiments")
-
-
 class TestRunnerScript:
+    """``python -m repro.experiments run`` (the one experiment CLI)."""
+
     def test_unknown_only_id_exits_with_valid_ids(self, capsys):
-        runner = load_runner()
         with pytest.raises(SystemExit) as exc:
-            runner.parse_args(["--only", "bogus"])
+            cli.parse_args(["run", "--only", "bogus"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "bogus" in err
         assert "fig09" in err  # the valid ids are listed, not a KeyError
 
     def test_only_filters_and_full_selects_mode(self):
-        runner = load_runner()
-        args = runner.parse_args(["--only", "fig09,fig02", "--full", "--seed", "3"])
+        args = cli.parse_args(["run", "--only", "fig09,fig02", "--full", "--seed", "3"])
         assert args.wanted == ["fig09", "fig02"]
         assert args.full and args.seed == 3
+        assert [s.mode for s in cli.run_specs(args)] == ["full", "full"]
 
     def test_defaults_cover_whole_registry(self):
         from repro.experiments import default_registry
 
-        runner = load_runner()
-        args = runner.parse_args([])
+        args = cli.parse_args(["run"])
         assert args.wanted == list(default_registry())
         assert args.workers == 1
         assert not args.force
+        assert not args.full  # quick by default, matching the spec default
+        assert args.epochs is None
 
     def test_header_mentions_regeneration(self):
         from repro.experiments import EXPERIMENTS_HEADER
 
-        assert "run_experiments.py" in EXPERIMENTS_HEADER
+        assert "python -m repro.experiments run" in EXPERIMENTS_HEADER
         assert "paper vs measured" in EXPERIMENTS_HEADER
 
     def test_main_runs_a_toy_registry_end_to_end(
@@ -62,19 +62,18 @@ class TestRunnerScript:
     ):
         from tests.experiments.toyreg import factory
 
-        runner = load_runner()
-        monkeypatch.setattr(runner, "default_registry", factory)
+        monkeypatch.setattr(cli, "default_registry", factory)
         out = tmp_path / "EXPERIMENTS.md"
         store = tmp_path / "store"
-        argv = ["--only", "toy", "--out", str(out), "--store", str(store)]
+        argv = ["run", "--only", "toy", "--out", str(out), "--store", str(store)]
 
-        assert runner.main(argv) == 0
+        assert cli.main(argv) == 0
         text = out.read_text()
         assert "toy experiment" in text
-        assert "mode: quick, seed: 0" in text
+        assert "mode: quick, seed: 0)" in text
 
         # Second run serves the cell from the durable store.
-        assert runner.main(argv) == 0
+        assert cli.main(argv) == 0
         assert "[skip]" in capsys.readouterr().out
 
 
